@@ -2,8 +2,9 @@
 //!
 //! Measures heap-allocation events and peak bytes for one cross-validated
 //! [`BmfFitter`] fit and for a batch of fits sharing one sample set, then
-//! writes `BENCH_allocs.json` so the perf trajectory has checked-in
-//! baseline numbers. Run with the counting allocator installed:
+//! writes `BENCH_allocs.json` (to `$BMF_BENCH_OUT`, or the workspace
+//! root) so the perf trajectory has checked-in baseline numbers. Run
+//! with the counting allocator installed:
 //!
 //! ```text
 //! cargo run -p bmf-bench --features bench --release --bin repro -- allocs
@@ -11,8 +12,6 @@
 //!
 //! Without the `bench` feature the experiment still runs (wall time is
 //! reported) but every allocation figure is zero.
-
-use std::fmt::Write as _;
 
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_core::batch::{BatchFitter, BatchJob};
@@ -25,6 +24,7 @@ use bmf_stat::rng::seeded;
 use crate::alloc::{self, AllocStats};
 use crate::report::Report;
 use crate::scale::Scale;
+use crate::study::{BenchReport, Value};
 
 /// One measured configuration.
 struct Row {
@@ -40,8 +40,8 @@ impl Row {
     }
 }
 
-/// Runs the allocation study and writes `BENCH_allocs.json` in the
-/// current directory.
+/// Runs the allocation study and writes `BENCH_allocs.json` to
+/// [`crate::study::out_dir`].
 ///
 /// # Errors
 ///
@@ -51,7 +51,7 @@ pub fn allocation_study(scale: Scale, seed: u64) -> Result<Report, BmfError> {
     // Representative late-stage shape: M = vars + 1 coefficients, K
     // samples a few times the fold count, Auto prior selection over the
     // default 17-point grid.
-    let (num_vars, k, jobs) = match scale {
+    let (num_vars, k, jobs): (usize, usize, usize) = match scale {
         Scale::Ci => (12, 24, 4),
         _ => (16, 32, 8),
     };
@@ -116,29 +116,24 @@ pub fn allocation_study(scale: Scale, seed: u64) -> Result<Report, BmfError> {
         },
     ];
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"counting_enabled\": {},\n  \"scenario\": {{ \"vars\": {num_vars}, \"terms\": {m}, \"samples\": {k}, \"folds\": 5, \"grid\": 17, \"jobs\": {jobs} }},",
-        alloc::counting_enabled()
+    let mut bench = BenchReport::new();
+    bench.scalar("counting_enabled", alloc::counting_enabled());
+    bench.section(
+        "scenario",
+        crate::fields! { vars: num_vars, terms: m, samples: k, folds: 5u64, grid: 17u64, jobs: jobs },
     );
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "  \"{}\": {{ \"fits\": {}, \"allocs\": {}, \"allocs_per_fit\": {}, \"peak_bytes\": {}, \"wall_s\": {:.6} }}{comma}",
+    for row in &rows {
+        bench.section(
             row.name,
-            row.fits,
-            row.stats.count,
-            row.allocs_per_fit(),
-            row.stats.peak_bytes,
-            row.wall_s
+            crate::fields! {
+                fits: row.fits, allocs: row.stats.count, allocs_per_fit: row.allocs_per_fit(),
+                peak_bytes: row.stats.peak_bytes, wall_s: Value::Fixed(row.wall_s, 6),
+            },
         );
     }
-    json.push_str("}\n");
-    std::fs::write("BENCH_allocs.json", &json).map_err(|e| BmfError::Config {
+    bench.write("allocs").map_err(|detail| BmfError::Config {
         parameter: "allocs-out",
-        detail: format!("writing BENCH_allocs.json: {e}"),
+        detail,
     })?;
 
     let mut report = Report::new("allocs", "Heap allocations per cross-validated fit");

@@ -1,5 +1,5 @@
 //! Chaos soak for the persistence and serving layers
-//! (`cargo bench -p bmf-bench --bench chaos`).
+//! (`cargo bench -p bmf-bench --bench studies -- chaos`).
 //!
 //! Three adversarial legs run against the *real* engine — the actual
 //! [`ArtifactStore`] write-ahead protocol, the actual
@@ -24,17 +24,15 @@
 //!   clean. One unclean store is a benchmark failure, not a data
 //!   point.
 //!
-//! As everywhere in this crate, wall time is printed but never
-//! serialized: `BENCH_chaos.json` is computed from counters, seeded
-//! draws, and virtual time only, so it is byte-identical across
-//! machines, runs, and `BMF_THREADS` settings.
+//! `BENCH_chaos.json` is computed from counters, seeded draws, and
+//! virtual time only, never from the wall clock, so it is
+//! byte-identical across machines, runs, and `BMF_THREADS` settings.
 //!
 //! [`ArtifactStore`]: bmf_persist::store::ArtifactStore
 //! [`FitService`]: bmf_core::service::FitService
 //! [`FaultVfs`]: bmf_persist::vfs::FaultVfs
 //! [`RetryPolicy`]: bmf_stat::backoff::RetryPolicy
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use bmf_basis::basis::OrthonormalBasis;
@@ -51,7 +49,7 @@ use bmf_stat::normal::StandardNormal;
 use bmf_stat::rng::{derive_seed, seeded};
 
 use crate::persist_study::{IMPORT_NS, WARM_BYTES_PER_NS};
-use crate::service_load::LatencySummary;
+use crate::study::{BenchReport, LatencySummary};
 
 /// Store root inside the in-memory filesystem.
 const ROOT: &str = "chaos/store";
@@ -115,57 +113,6 @@ impl ChaosConfig {
             crash_stride: 3,
             ..ChaosConfig::full()
         }
-    }
-}
-
-/// Per-fault-level sweep results.
-#[derive(Debug, Clone)]
-pub struct SweepLevel {
-    /// Injected transient-error rate, permille per op.
-    pub error_permille: u32,
-    /// Warm-start trials run.
-    pub trials: usize,
-    /// Trials that imported the full model fleet.
-    pub recovered: usize,
-    /// Store-open attempts beyond the first, summed over trials.
-    pub open_retries: u64,
-    /// Read retries inside `warm_start_with_retry`, summed.
-    pub read_retries: u64,
-    /// Transient faults the VFS actually injected, summed.
-    pub injected: u64,
-    /// Virtual warm-start latency over successful trials.
-    pub latency: LatencySummary,
-}
-
-/// Everything one chaos run produces.
-#[derive(Debug, Clone)]
-pub struct ChaosOutcome {
-    /// The byte-deterministic report, ready for `BENCH_chaos.json`.
-    pub json: String,
-    /// Per-level fault-sweep results.
-    pub sweep: Vec<SweepLevel>,
-    /// Overload leg: fit submissions shed at admission.
-    pub shed_fits: u64,
-    /// Overload leg: queued fits expired at their virtual deadline.
-    pub expired_fits: u64,
-    /// Overload leg: fits served.
-    pub fits_ok: u64,
-    /// Crash leg: op indices tested.
-    pub crash_points: usize,
-    /// Crash leg: recoveries that ended fsck-clean (must equal
-    /// `crash_points`).
-    pub crash_recovered: usize,
-}
-
-/// Destination for the JSON report: `$BMF_CHAOS_OUT` when set,
-/// `BENCH_chaos.json` at the workspace root otherwise.
-pub fn output_path() -> String {
-    if let Ok(p) = std::env::var("BMF_CHAOS_OUT") {
-        return p;
-    }
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(m) => format!("{m}/../../BENCH_chaos.json"),
-        Err(_) => "BENCH_chaos.json".to_string(),
     }
 }
 
@@ -484,135 +431,117 @@ fn crash_leg(cfg: &ChaosConfig) -> Result<(u64, usize, usize), BmfError> {
 /// # Errors
 ///
 /// Propagates service and persistence failures; an unclean store after
-/// any leg is an error, never a data point.
-pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosOutcome, BmfError> {
+/// any leg, or a failed [`check`], is an error, never a data point.
+pub fn run_chaos(cfg: &ChaosConfig) -> Result<BenchReport, BmfError> {
     let (disk, blob_bytes) = seed_store(cfg)?;
     let policy = RetryPolicy::default();
 
-    let mut sweep = Vec::with_capacity(cfg.fault_permilles.len());
+    let mut report = BenchReport::new();
+    report.section(
+        "scenario",
+        crate::fields! {
+            jobs: cfg.jobs, vars: cfg.num_vars.max(1),
+            samples: cfg.samples.max(cfg.num_vars.max(1) + 2), trials: cfg.trials,
+            requests: cfg.requests, queue_capacity: cfg.queue_capacity.max(1),
+            deadline_slack_ns: cfg.deadline_slack_ns, crash_stride: cfg.crash_stride.max(1),
+            seed: cfg.seed,
+        },
+    );
+    report.section(
+        "seed_store",
+        crate::fields! { artifacts: cfg.jobs, blob_bytes: blob_bytes },
+    );
+
+    let (mut sweep_trials, mut sweep_ok) = (0, 0);
     for (li, &pm) in cfg.fault_permilles.iter().enumerate() {
-        let mut level = SweepLevel {
-            error_permille: pm,
-            trials: cfg.trials,
-            recovered: 0,
-            open_retries: 0,
-            read_retries: 0,
-            injected: 0,
-            latency: LatencySummary::default(),
-        };
+        let (mut recovered, mut open_retries, mut read_retries, mut injected) = (0, 0, 0, 0);
         let mut lat = Vec::with_capacity(cfg.trials);
         for t in 0..cfg.trials {
             let seed = derive_seed(cfg.seed, 10_000 + (li as u64) * 1_000 + t as u64);
-            let (ok, open_retries, read_retries, virtual_ns, injected) =
+            let (ok, opens, reads, virtual_ns, faults) =
                 sweep_trial(&disk, cfg.jobs, blob_bytes, pm, &policy, seed)?;
             if ok {
-                level.recovered += 1;
+                recovered += 1;
                 lat.push(virtual_ns);
             }
-            level.open_retries += open_retries;
-            level.read_retries += read_retries;
-            level.injected += injected;
+            open_retries += opens;
+            read_retries += reads;
+            injected += faults;
         }
-        level.latency = LatencySummary::from_sorted(&mut lat);
-        sweep.push(level);
-    }
-    // The fault-free level is the control: it must always recover.
-    if let Some(control) = sweep.iter().find(|l| l.error_permille == 0) {
-        if control.recovered != control.trials {
+        // The fault-free level is the control: it must always recover.
+        if pm == 0 && recovered != cfg.trials {
             return Err(BmfError::Snapshot {
                 detail: "fault-free warm start failed to recover".to_string(),
             });
         }
-    }
-
-    let counters = overload_leg(cfg)?;
-    let (crash_ops, crash_tested, crash_recovered) = crash_leg(cfg)?;
-    if crash_recovered != crash_tested {
-        return Err(BmfError::Snapshot {
-            detail: format!("crash leg: {crash_recovered}/{crash_tested} points recovered clean"),
-        });
-    }
-
-    let offered = counters.fits_ok + counters.fits_failed + counters.shed_fits;
-    let shed_permille = counters.shed_fits * 1000 / offered.max(1);
-    let sweep_trials: usize = sweep.iter().map(|l| l.trials).sum();
-    let sweep_ok: usize = sweep.iter().map(|l| l.recovered).sum();
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"scenario\": {{ \"jobs\": {}, \"vars\": {}, \"samples\": {}, \"trials\": {}, \
-         \"requests\": {}, \"queue_capacity\": {}, \"deadline_slack_ns\": {}, \
-         \"crash_stride\": {}, \"seed\": {} }},",
-        cfg.jobs,
-        cfg.num_vars.max(1),
-        cfg.samples.max(cfg.num_vars.max(1) + 2),
-        cfg.trials,
-        cfg.requests,
-        cfg.queue_capacity.max(1),
-        cfg.deadline_slack_ns,
-        cfg.crash_stride.max(1),
-        cfg.seed,
-    );
-    let _ = writeln!(
-        json,
-        "  \"seed_store\": {{ \"artifacts\": {}, \"blob_bytes\": {blob_bytes} }},",
-        cfg.jobs
-    );
-    json.push_str("  \"fault_sweep\": [\n");
-    for (i, l) in sweep.iter().enumerate() {
-        let comma = if i + 1 < sweep.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{ \"error_permille\": {}, \"trials\": {}, \"recovered\": {}, \
-             \"open_retries\": {}, \"read_retries\": {}, \"injected_faults\": {}, \
-             \"warm_p50_ns\": {}, \"warm_p99_ns\": {}, \"warm_max_ns\": {} }}{comma}",
-            l.error_permille,
-            l.trials,
-            l.recovered,
-            l.open_retries,
-            l.read_retries,
-            l.injected,
-            l.latency.p50_ns,
-            l.latency.p99_ns,
-            l.latency.max_ns,
+        sweep_trials += cfg.trials;
+        sweep_ok += recovered;
+        let l = LatencySummary::from_sorted(&mut lat);
+        report.row(
+            "fault_sweep",
+            crate::fields! {
+                error_permille: pm, trials: cfg.trials, recovered: recovered,
+                open_retries: open_retries, read_retries: read_retries,
+                injected_faults: injected, warm_p50_ns: l.p50_ns, warm_p99_ns: l.p99_ns,
+                warm_max_ns: l.max_ns,
+            },
         );
     }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"overload\": {{ \"offered_fits\": {offered}, \"fits_ok\": {}, \
-         \"shed_fits\": {}, \"shed_permille\": {shed_permille}, \"expired_fits\": {}, \
-         \"shed_appends\": {}, \"predicts\": {}, \"evictions\": {} }},",
-        counters.fits_ok,
-        counters.shed_fits,
-        counters.expired_fits,
-        counters.shed_appends,
-        counters.predicts,
-        counters.evictions,
-    );
-    let _ = writeln!(
-        json,
-        "  \"crash\": {{ \"script_ops\": {crash_ops}, \"points_tested\": {crash_tested}, \
-         \"recovered_clean\": {crash_recovered} }},",
-    );
-    let _ = writeln!(
-        json,
-        "  \"headline\": {{ \"recovery_rate_permille\": {}, \"shed_permille\": {shed_permille}, \
-         \"crash_points_clean\": {crash_recovered} }}",
-        sweep_ok * 1000 / sweep_trials.max(1),
-    );
-    json.push_str("}\n");
 
-    Ok(ChaosOutcome {
-        json,
-        sweep,
-        shed_fits: counters.shed_fits,
-        expired_fits: counters.expired_fits,
-        fits_ok: counters.fits_ok,
-        crash_points: crash_tested,
-        crash_recovered,
-    })
+    let c = overload_leg(cfg)?;
+    let (crash_ops, crash_tested, crash_recovered) = crash_leg(cfg)?;
+    let offered = c.fits_ok + c.fits_failed + c.shed_fits;
+    let shed_permille = c.shed_fits * 1000 / offered.max(1);
+    report.section(
+        "overload",
+        crate::fields! {
+            offered_fits: offered, fits_ok: c.fits_ok, shed_fits: c.shed_fits,
+            shed_permille: shed_permille, expired_fits: c.expired_fits,
+            shed_appends: c.shed_appends, predicts: c.predicts, evictions: c.evictions,
+        },
+    );
+    report.section(
+        "crash",
+        crate::fields! {
+            script_ops: crash_ops, points_tested: crash_tested,
+            recovered_clean: crash_recovered,
+        },
+    );
+    report.section(
+        "headline",
+        crate::fields! {
+            recovery_rate_permille: sweep_ok * 1000 / sweep_trials.max(1),
+            shed_permille: shed_permille, crash_points_clean: crash_recovered,
+        },
+    );
+    check(&report).map_err(|detail| BmfError::Config {
+        parameter: "chaos_study",
+        detail,
+    })?;
+    Ok(report)
+}
+
+/// The chaos study's postconditions: crash points were tested and every
+/// one recovered clean, the tiny admission queue actually shed while
+/// still serving, and warm starts recovered.
+///
+/// # Errors
+///
+/// Names the failed condition and the values it saw.
+pub fn check(report: &BenchReport) -> Result<(), String> {
+    let tested = report.metric("crash.points_tested")?;
+    let clean = report.metric("crash.recovered_clean")?;
+    let shed = report.metric("overload.shed_fits")?;
+    let served = report.metric("overload.fits_ok")?;
+    let recovery = report.metric("headline.recovery_rate_permille")?;
+    if tested > 0.0 && clean == tested && shed > 0.0 && served > 0.0 && recovery > 0.0 {
+        Ok(())
+    } else {
+        Err(format!(
+            "bad chaos invariants (recovery={recovery} permille, crash {clean}/{tested} \
+             clean, shed={shed}, served={served})"
+        ))
+    }
 }
 
 #[cfg(test)]
@@ -632,37 +561,26 @@ mod tests {
 
     #[test]
     fn chaos_run_is_byte_deterministic() {
-        let a = run_chaos(&tiny()).expect("chaos run");
-        let b = run_chaos(&tiny()).expect("chaos run");
-        assert_eq!(a.json, b.json);
+        assert_eq!(
+            run_chaos(&tiny()).expect("chaos run"),
+            run_chaos(&tiny()).expect("chaos run")
+        );
     }
 
     #[test]
     fn chaos_run_exercises_every_leg() {
+        // `run_chaos` itself fails unless the control level recovers fully,
+        // the tiny queue sheds while still serving, and every crash point
+        // recovers clean (see `check`).
         let out = run_chaos(&tiny()).expect("chaos run");
-        assert_eq!(out.sweep.len(), 2);
-        let control = &out.sweep[0];
-        assert_eq!(control.error_permille, 0);
-        assert_eq!(control.recovered, control.trials);
-        assert_eq!(control.injected, 0);
-        let stressed = &out.sweep[1];
-        assert!(stressed.injected > 0, "faults must actually inject");
-        assert!(out.shed_fits > 0, "tiny queue must shed under burst load");
-        assert!(out.fits_ok > 0, "accepted fits must still be served");
-        assert!(out.crash_points > 0);
-        assert_eq!(out.crash_recovered, out.crash_points);
-        for key in [
-            "\"fault_sweep\"",
-            "\"overload\"",
-            "\"crash\"",
-            "\"recovery_rate_permille\"",
-            "\"shed_permille\"",
-        ] {
-            assert!(out.json.contains(key), "missing {key} in report");
-        }
+        let m = |key: &str| out.metric(key).expect("gated key");
+        assert_eq!(m("fault_sweep[error_permille=0].injected_faults"), 0.0);
         assert!(
-            !out.json.contains("wall"),
-            "wall time must stay out of the JSON"
+            m("fault_sweep[error_permille=120].injected_faults") > 0.0,
+            "faults must inject"
         );
+        assert!(out
+            .metric("fault_sweep[error_permille=250].trials")
+            .is_err());
     }
 }

@@ -1,18 +1,18 @@
 //! Virtual-time study of the flow-aware analyzer
-//! (`cargo bench -p bmf-bench --bench lint`).
+//! (`cargo bench -p bmf-bench --bench studies -- lint`).
 //!
 //! Runs the real `bmf-lint` pipeline — workspace discovery, per-file
 //! structural models, item parse, call-graph resolution, every file and
-//! graph rule, baseline diff — over this repository and writes the
-//! deterministic report to `BENCH_lint.json` (or `$BMF_LINT_OUT`).
+//! graph rule, baseline diff — over this repository and builds the
+//! deterministic `BENCH_lint.json` report.
 //!
-//! Wall time is machine-dependent, so it is printed to stderr only; the
-//! JSON report carries **counters** (files, lines, parsed items, graph
+//! Wall time is machine-dependent, so it stays out of the report; the
+//! report carries **counters** (files, lines, parsed items, graph
 //! nodes/edges by strength, sinks, findings per graph rule, baseline
 //! diff buckets) plus a `virtual_ms` charged from the fixed cost model
 //! below. Every number is a pure function of the workspace source state,
 //! so the report is byte-identical across runs and `BMF_THREADS`
-//! settings, and the trend gate (`scripts/bench_trend.sh`) only fires
+//! settings, and the trend gate (the `bench-gate` binary) only fires
 //! when the analyzer's *work profile* actually changes — e.g. the call
 //! graph suddenly doubling, or findings reappearing after the burn-down.
 //!
@@ -21,13 +21,14 @@
 //! unbaselined or stale finding fails the run loudly, mirroring the CI
 //! lint job's `--deny-stale`.
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use bmf_lint::baseline::{self, BaselineEntry};
 use bmf_lint::parse::SinkKind;
 use bmf_lint::rules::graph_rules;
 use bmf_lint::{analyze_workspace, lint_analysis, Analysis};
+
+use crate::study::{workspace_root, BenchReport, Value};
 
 /// Virtual nanoseconds charged per source line lexed and modeled.
 pub const LEX_NS_PER_LINE: u64 = 900;
@@ -138,43 +139,6 @@ impl LintCounters {
     }
 }
 
-/// Everything one study run produces.
-#[derive(Debug, Clone)]
-pub struct LintStudyOutcome {
-    /// The byte-deterministic report, ready to write to
-    /// `BENCH_lint.json`.
-    pub json: String,
-    /// The extracted counters.
-    pub counters: LintCounters,
-    /// Virtual analysis time in milliseconds.
-    pub virtual_ms: f64,
-    /// Wall-clock seconds of the (first) analysis pass — stderr-only
-    /// diagnostics, never part of the JSON.
-    pub wall_s: f64,
-}
-
-/// Destination for the JSON report: `$BMF_LINT_OUT` when set (CI writes
-/// fresh copies next to — never over — the committed baseline),
-/// `BENCH_lint.json` at the workspace root otherwise.
-pub fn output_path() -> String {
-    if let Ok(p) = std::env::var("BMF_LINT_OUT") {
-        return p;
-    }
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(m) => format!("{m}/../../BENCH_lint.json"),
-        Err(_) => "BENCH_lint.json".to_string(),
-    }
-}
-
-/// The workspace root, anchored at this crate's manifest (cargo runs
-/// bench binaries from the package directory).
-pub fn workspace_root() -> PathBuf {
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(m) => PathBuf::from(m).join("../.."),
-        Err(_) => PathBuf::from("."),
-    }
-}
-
 /// Runs the configured study against the real analyzer and returns the
 /// deterministic report.
 ///
@@ -184,10 +148,8 @@ pub fn workspace_root() -> PathBuf {
 /// fails to parse, the burn-down invariant is violated (unbaselined or
 /// stale findings under `deny_unbaselined`), or the double-run
 /// determinism check fails.
-pub fn run_lint_study(cfg: &LintStudyConfig) -> Result<LintStudyOutcome, String> {
-    let started = std::time::Instant::now();
+pub fn run_lint_study(cfg: &LintStudyConfig) -> Result<BenchReport, String> {
     let first = analyze_once(cfg)?;
-    let wall_s = started.elapsed().as_secs_f64();
 
     if cfg.deny_unbaselined {
         if first.unbaselined > 0 {
@@ -206,26 +168,15 @@ pub fn run_lint_study(cfg: &LintStudyConfig) -> Result<LintStudyOutcome, String>
         }
     }
 
-    let json = render_json(cfg, &first);
-    if cfg.verify_determinism {
-        let second = analyze_once(cfg)?;
-        let json2 = render_json(cfg, &second);
-        if json != json2 {
-            return Err(
-                "lint study: two analysis passes produced different reports — \
-                 the analyzer lost byte-determinism"
-                    .to_string(),
-            );
-        }
+    let report = render_report(cfg, &first);
+    if cfg.verify_determinism && render_report(cfg, &analyze_once(cfg)?) != report {
+        return Err(
+            "lint study: two analysis passes produced different reports — \
+                    the analyzer lost byte-determinism"
+                .to_string(),
+        );
     }
-
-    let virtual_ms = first.virtual_ns() as f64 / 1e6;
-    Ok(LintStudyOutcome {
-        json,
-        counters: first,
-        virtual_ms,
-        wall_s,
-    })
+    Ok(report)
 }
 
 /// One full pipeline pass: discovery, models, parse, graph, rules,
@@ -290,67 +241,60 @@ fn count_structure(analysis: &Analysis) -> LintCounters {
     c
 }
 
-fn render_json(cfg: &LintStudyConfig, c: &LintCounters) -> String {
+fn render_report(cfg: &LintStudyConfig, c: &LintCounters) -> BenchReport {
     let virtual_ns = c.virtual_ns();
-    let virtual_ms = virtual_ns as f64 / 1e6;
     let files_per_s = c.files as f64 / (virtual_ns.max(1) as f64 / 1e9);
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"scenario\": {{ \"smoke\": {}, \"graph_rules\": {} }},",
-        u64::from(cfg.smoke),
-        graph_rules().len(),
+    let mut report = BenchReport::new();
+    report.section(
+        "scenario",
+        crate::fields! { smoke: u64::from(cfg.smoke), graph_rules: graph_rules().len() },
     );
-    let _ = writeln!(
-        json,
-        "  \"workspace\": {{ \"files\": {}, \"lines\": {}, \"fn_items\": {}, \
-         \"pub_fns\": {}, \"call_sites\": {} }},",
-        c.files, c.lines, c.fn_items, c.pub_fns, c.call_sites,
+    report.section(
+        "workspace",
+        crate::fields! {
+            files: c.files, lines: c.lines, fn_items: c.fn_items, pub_fns: c.pub_fns,
+            call_sites: c.call_sites,
+        },
     );
-    let _ = writeln!(
-        json,
-        "  \"graph\": {{ \"nodes\": {}, \"edges\": {}, \"strong_edges\": {}, \
-         \"weak_edges\": {} }},",
-        c.fn_items,
-        c.edges,
-        c.strong_edges,
-        c.edges - c.strong_edges,
+    report.section(
+        "graph",
+        crate::fields! {
+            nodes: c.fn_items, edges: c.edges, strong_edges: c.strong_edges,
+            weak_edges: c.edges - c.strong_edges,
+        },
     );
-    let _ = writeln!(
-        json,
-        "  \"sinks\": {{ \"panic\": {}, \"alloc\": {}, \"index\": {}, \"vfs_ops\": {} }},",
-        c.panic_sinks, c.alloc_sinks, c.index_sinks, c.vfs_ops,
+    report.section(
+        "sinks",
+        crate::fields! {
+            panic: c.panic_sinks, alloc: c.alloc_sinks, index: c.index_sinks,
+            vfs_ops: c.vfs_ops,
+        },
     );
-    let _ = writeln!(
-        json,
-        "  \"findings\": {{ \"total\": {}, \"baselined\": {}, \"unbaselined\": {}, \
-         \"stale_entries\": {} }},",
-        c.findings_total, c.baselined, c.unbaselined, c.stale_entries,
+    report.section(
+        "findings",
+        crate::fields! {
+            total: c.findings_total, baselined: c.baselined, unbaselined: c.unbaselined,
+            stale_entries: c.stale_entries,
+        },
     );
-    let mut per_rule = String::new();
-    for (i, id) in GRAPH_RULE_IDS.iter().enumerate() {
-        if i > 0 {
-            per_rule.push_str(", ");
-        }
-        let _ = write!(
-            per_rule,
-            "\"{}\": {}",
-            id.replace('-', "_"),
-            c.per_graph_rule[i]
-        );
-    }
-    let _ = writeln!(json, "  \"rule_findings\": {{ {per_rule} }},");
-    let _ = writeln!(
-        json,
-        "  \"cost_model\": {{ \"lex_ns_per_line\": {LEX_NS_PER_LINE}, \
-         \"resolve_ns_per_call\": {RESOLVE_NS_PER_CALL}, \
-         \"rule_ns_per_edge\": {RULE_NS_PER_EDGE}, \"finding_ns\": {FINDING_NS} }},"
+    report.section(
+        "rule_findings",
+        GRAPH_RULE_IDS
+            .iter()
+            .zip(c.per_graph_rule)
+            .map(|(id, n)| (id.replace('-', "_"), Value::from(n))),
     );
-    let _ = writeln!(json, "  \"virtual_ms\": {virtual_ms:.3},");
-    let _ = writeln!(json, "  \"files_per_s_throughput\": {files_per_s:.1}");
-    json.push_str("}\n");
-    json
+    report.section(
+        "cost_model",
+        crate::fields! {
+            lex_ns_per_line: LEX_NS_PER_LINE, resolve_ns_per_call: RESOLVE_NS_PER_CALL,
+            rule_ns_per_edge: RULE_NS_PER_EDGE, finding_ns: FINDING_NS,
+        },
+    );
+    report.scalar("virtual_ms", Value::Fixed(virtual_ns as f64 / 1e6, 3));
+    report.scalar("files_per_s_throughput", Value::Fixed(files_per_s, 1));
+    report
 }
 
 #[cfg(test)]
@@ -364,8 +308,7 @@ mod tests {
     #[test]
     fn study_is_byte_deterministic() {
         let a = run_lint_study(&cfg()).expect("study run");
-        let b = run_lint_study(&cfg()).expect("study run");
-        assert_eq!(a.json, b.json);
+        assert_eq!(a, run_lint_study(&cfg()).expect("study run"));
     }
 
     #[test]
@@ -373,14 +316,13 @@ mod tests {
         // `deny_unbaselined` is on: a new or stale finding fails the run
         // itself, so Ok here certifies the burn-down invariant.
         let out = run_lint_study(&cfg()).expect("workspace must stay clean");
-        assert_eq!(out.counters.unbaselined, 0);
-        assert_eq!(out.counters.stale_entries, 0);
+        assert_eq!(out.metric("findings.unbaselined"), Ok(0.0));
+        assert_eq!(out.metric("findings.stale_entries"), Ok(0.0));
     }
 
     #[test]
     fn counters_reflect_a_real_workspace() {
-        let out = run_lint_study(&cfg()).expect("study run");
-        let c = &out.counters;
+        let c = analyze_once(&cfg()).expect("analysis pass");
         assert!(
             c.files > 20,
             "expected a real workspace, got {} files",
@@ -395,40 +337,12 @@ mod tests {
             "strong edges are a subset of all edges"
         );
         assert!(c.vfs_ops > 0, "the persist store must contribute VFS ops");
-        assert!(out.virtual_ms > 0.0);
-    }
-
-    #[test]
-    fn json_has_the_gated_keys() {
-        let out = run_lint_study(&cfg()).expect("study run");
-        for key in [
-            "\"scenario\"",
-            "\"workspace\"",
-            "\"files\"",
-            "\"graph\"",
-            "\"strong_edges\"",
-            "\"sinks\"",
-            "\"findings\"",
-            "\"unbaselined\"",
-            "\"rule_findings\"",
-            "\"panic_reachability\"",
-            "\"durability_ordering\"",
-            "\"cost_model\"",
-            "\"virtual_ms\"",
-            "\"files_per_s_throughput\"",
-        ] {
-            assert!(out.json.contains(key), "missing {key} in report");
-        }
-        assert!(
-            !out.json.to_lowercase().contains("nan"),
-            "non-finite value leaked into the report"
-        );
+        assert!(c.virtual_ns() > 0);
     }
 
     #[test]
     fn smoke_double_run_verifies_determinism() {
-        let out = run_lint_study(&LintStudyConfig::smoke()).expect("smoke run");
-        assert!(out.counters.files > 0);
+        run_lint_study(&LintStudyConfig::smoke()).expect("smoke run");
     }
 
     #[test]
@@ -442,7 +356,7 @@ mod tests {
         };
         let big = LintCounters {
             lines: 200,
-            ..small.clone()
+            ..small
         };
         assert!(big.virtual_ns() > small.virtual_ns());
     }

@@ -1,5 +1,5 @@
 //! Cold-start vs warm-start benchmark for the persistence layer
-//! (`cargo bench -p bmf-bench --bench persist`).
+//! (`cargo bench -p bmf-bench --bench studies -- persist`).
 //!
 //! Measures the *work* of standing up a populated fitting service two
 //! ways:
@@ -18,10 +18,10 @@
 //! a probe set — a warm start that changed a single bit is a benchmark
 //! failure, not a data point.
 //!
-//! As everywhere in this crate, wall time is printed but never
-//! serialized: `BENCH_persist.json` is computed from counters and
-//! artifact byte sizes only, so it is byte-identical across machines,
-//! runs, and `BMF_THREADS` settings.
+//! `BENCH_persist.json` is computed from counters and artifact byte
+//! sizes only, never from the wall clock, so it and the exported store
+//! are byte-identical across machines, runs, and `BMF_THREADS`
+//! settings.
 //!
 //! [`BATCH_BASE_NS`]: crate::service_load::BATCH_BASE_NS
 //! [`KERNEL_NS`]: crate::service_load::KERNEL_NS
@@ -30,7 +30,7 @@
 //! [`ArtifactStore`]: bmf_persist::store::ArtifactStore
 //! [`ArtifactStore::warm_start`]: bmf_persist::store::ArtifactStore::warm_start
 
-use std::fmt::Write as _;
+use std::path::PathBuf;
 
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_core::options::FitOptions;
@@ -41,6 +41,7 @@ use bmf_stat::normal::StandardNormal;
 use bmf_stat::rng::{derive_seed, seeded};
 
 use crate::service_load::{BATCH_BASE_NS, JOB_NS, KERNEL_NS, SOLVE_NS};
+use crate::study::{out_dir, BenchReport, Value};
 
 /// Virtual cost of installing one snapshot into the registry
 /// (validation screens plus shard insertion).
@@ -64,10 +65,14 @@ pub struct PersistConfig {
     pub probes: usize,
     /// Master seed for points, truths, and probes.
     pub seed: u64,
+    /// Directory the exported store is written to; recreated from
+    /// scratch on every run.
+    pub store_dir: PathBuf,
 }
 
 impl PersistConfig {
-    /// Full scenario behind the committed `BENCH_persist.json`.
+    /// Full scenario behind the committed `BENCH_persist.json`, with the
+    /// store at `persist-store` in the study output directory.
     pub fn full() -> Self {
         PersistConfig {
             jobs: 48,
@@ -75,6 +80,7 @@ impl PersistConfig {
             samples: 24,
             probes: 32,
             seed: 0xC0FFEE,
+            store_dir: out_dir().join("persist-store"),
         }
     }
 
@@ -88,48 +94,6 @@ impl PersistConfig {
     }
 }
 
-/// Result of one persist-bench run.
-#[derive(Debug)]
-pub struct PersistOutcome {
-    /// The deterministic JSON report.
-    pub json: String,
-    /// Virtual cost of the cold start (fit everything).
-    pub cold_ns: u64,
-    /// Virtual cost of the warm start (load everything).
-    pub warm_ns: u64,
-    /// Artifacts written.
-    pub artifacts: usize,
-    /// Total artifact bytes on disk.
-    pub total_bytes: u64,
-    /// Bitwise-verified predictions.
-    pub verified: u64,
-}
-
-/// Destination for the JSON report: `$BMF_PERSIST_OUT` when set,
-/// `BENCH_persist.json` at the workspace root otherwise.
-pub fn output_path() -> String {
-    if let Ok(p) = std::env::var("BMF_PERSIST_OUT") {
-        return p;
-    }
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(m) => format!("{m}/../../BENCH_persist.json"),
-        Err(_) => "BENCH_persist.json".to_string(),
-    }
-}
-
-/// Directory for the bench's scratch store: `$BMF_PERSIST_DIR` when
-/// set, `target/persist-bench-store` at the workspace root otherwise.
-/// Recreated from scratch on every run.
-pub fn store_dir() -> String {
-    if let Ok(p) = std::env::var("BMF_PERSIST_DIR") {
-        return p;
-    }
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(m) => format!("{m}/../../target/persist-bench-store"),
-        Err(_) => "target/persist-bench-store".to_string(),
-    }
-}
-
 /// Runs the cold-fit / export / warm-start / verify cycle and returns
 /// the deterministic report.
 ///
@@ -139,8 +103,8 @@ pub fn store_dir() -> String {
 /// errors routed through [`BmfError::Snapshot`]); a bitwise divergence
 /// between the cold and warm services is reported as
 /// [`BmfError::Snapshot`] too — the persisted snapshot failed its
-/// round-trip contract.
-pub fn run_persist(cfg: &PersistConfig) -> Result<PersistOutcome, BmfError> {
+/// round-trip contract — and a failed [`check`] as [`BmfError::Config`].
+pub fn run_persist(cfg: &PersistConfig) -> Result<BenchReport, BmfError> {
     let r = cfg.num_vars;
     let samples = cfg.samples.max(r + 2);
     let mut rng = seeded(derive_seed(cfg.seed, 1));
@@ -195,9 +159,8 @@ pub fn run_persist(cfg: &PersistConfig) -> Result<PersistOutcome, BmfError> {
         + c.fits_ok * JOB_NS;
 
     // Export everything to a fresh on-disk store.
-    let dir = store_dir();
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = ArtifactStore::open(&dir).map_err(BmfError::from)?;
+    let _ = std::fs::remove_dir_all(&cfg.store_dir);
+    let store = ArtifactStore::open(&cfg.store_dir).map_err(BmfError::from)?;
     let ids = store.export_service(&cold).map_err(BmfError::from)?;
     let mut total_bytes: u64 = 0;
     for &id in &ids {
@@ -226,40 +189,62 @@ pub fn run_persist(cfg: &PersistConfig) -> Result<PersistOutcome, BmfError> {
     let warm_ns = imported * IMPORT_NS + total_bytes / WARM_BYTES_PER_NS;
 
     let speedup = cold_ns as f64 / warm_ns.max(1) as f64;
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"scenario\": {{ \"jobs\": {}, \"vars\": {r}, \"samples\": {samples}, \
-         \"probes\": {}, \"seed\": {} }},",
-        cfg.jobs, cfg.probes, cfg.seed,
+    let mut report = BenchReport::new();
+    report.section(
+        "scenario",
+        crate::fields! {
+            jobs: cfg.jobs, vars: r, samples: samples, probes: cfg.probes, seed: cfg.seed,
+        },
     );
-    let _ = writeln!(
-        json,
-        "  \"artifacts\": {{ \"count\": {}, \"total_bytes\": {total_bytes}, \
-         \"index_entries\": {} }},",
-        ids.len(),
-        store.index().map_err(BmfError::from)?.len(),
+    report.section(
+        "artifacts",
+        crate::fields! {
+            count: ids.len(), total_bytes: total_bytes,
+            index_entries: store.index().map_err(BmfError::from)?.len(),
+        },
     );
-    let _ = writeln!(
-        json,
-        "  \"cold_start\": {{ \"virtual_ns\": {cold_ns}, \"batches\": {}, \
-         \"kernels\": {}, \"map_solves\": {}, \"fits\": {} }},",
-        c.batches, c.kernel_cache_misses, c.map_solves, c.fits_ok,
+    report.section(
+        "cold_start",
+        crate::fields! {
+            virtual_ns: cold_ns, batches: c.batches, kernels: c.kernel_cache_misses,
+            map_solves: c.map_solves, fits: c.fits_ok,
+        },
     );
-    let _ = writeln!(
-        json,
-        "  \"warm_start\": {{ \"virtual_ns\": {warm_ns}, \"imports\": {imported}, \
-         \"verified_predictions\": {verified} }},",
+    report.section(
+        "warm_start",
+        crate::fields! {
+            virtual_ns: warm_ns, imports: imported, verified_predictions: verified,
+        },
     );
-    let _ = writeln!(json, "  \"headline\": {{ \"warm_speedup\": {speedup:.3} }}");
-    json.push_str("}\n");
+    report.section(
+        "headline",
+        crate::fields! { warm_speedup: Value::Fixed(speedup, 3) },
+    );
+    check(&report).map_err(|detail| BmfError::Config {
+        parameter: "persist_study",
+        detail,
+    })?;
+    Ok(report)
+}
 
-    Ok(PersistOutcome {
-        json,
-        cold_ns,
-        warm_ns,
-        artifacts: ids.len(),
-        total_bytes,
-        verified,
-    })
+/// The persist study's postconditions: predictions were verified, both
+/// starts cost something, and warm-starting beats refitting (otherwise
+/// persistence buys nothing and something is badly wrong).
+///
+/// # Errors
+///
+/// Names the failed condition and the values it saw.
+pub fn check(report: &BenchReport) -> Result<(), String> {
+    let verified = report.metric("warm_start.verified_predictions")?;
+    let cold = report.metric("cold_start.virtual_ns")?;
+    let warm = report.metric("warm_start.virtual_ns")?;
+    let speedup = report.metric("headline.warm_speedup")?;
+    if verified > 0.0 && cold > 0.0 && warm > 0.0 && warm < cold && speedup >= 1.0 {
+        Ok(())
+    } else {
+        Err(format!(
+            "bad headline metrics (verified={verified}, cold={cold} ns, warm={warm} ns, \
+             speedup={speedup})"
+        ))
+    }
 }

@@ -1,9 +1,8 @@
 //! Virtual-time study of the streaming posterior engine
-//! (`cargo bench -p bmf-bench --bench sequential`).
+//! (`cargo bench -p bmf-bench --bench studies -- sequential`).
 //!
 //! Exercises the real [`bmf_core::sequential::SequentialBmf`] two ways
-//! and writes the deterministic report to `BENCH_sequential.json` (or
-//! `$BMF_SEQUENTIAL_OUT`):
+//! and builds the deterministic `BENCH_sequential.json` report:
 //!
 //! 1. **Speedup curve over K** — one stream absorbs `k_max` late-stage
 //!    samples; after every sample the study *also* refits the seen
@@ -27,8 +26,6 @@
 //! `Θ(k²·m + k³/3)`. Both arms are charged [`FLOP_NS`] per unit plus a
 //! fixed dispatch base, from counts that depend only on `(k, m)`.
 
-use std::fmt::Write as _;
-
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_circuits::traffic::{generate_arrivals, ArrivalConfig};
 use bmf_core::map_estimate::map_estimate;
@@ -40,6 +37,8 @@ use bmf_core::BmfError;
 use bmf_linalg::{Matrix, Vector};
 use bmf_stat::normal::StandardNormal;
 use bmf_stat::rng::{derive_seed, seeded};
+
+use crate::study::{BenchReport, LatencySummary, Value};
 
 /// Virtual nanoseconds charged per fused multiply-add unit of posterior
 /// work.
@@ -127,92 +126,6 @@ impl SeqStudyConfig {
     }
 }
 
-/// One point of the incremental-vs-refit speedup curve (cumulative
-/// virtual cost of streaming the first `k` samples).
-#[derive(Debug, Clone, Copy)]
-pub struct CurvePoint {
-    /// Samples absorbed so far.
-    pub k: usize,
-    /// Total virtual cost of the incremental path.
-    pub incremental_total_ns: u64,
-    /// Total virtual cost of refitting from scratch after every sample.
-    pub refit_total_ns: u64,
-    /// `refit_total_ns / incremental_total_ns` — how much posterior
-    /// throughput streaming buys at this depth.
-    pub speedup_x: f64,
-}
-
-/// Update-latency percentiles over the arrival replay, in virtual ns.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UpdateLatency {
-    /// Updates measured.
-    pub count: u64,
-    /// Median.
-    pub p50_ns: u64,
-    /// 99th percentile.
-    pub p99_ns: u64,
-    /// 99.9th percentile.
-    pub p999_ns: u64,
-    /// Worst case.
-    pub max_ns: u64,
-}
-
-impl UpdateLatency {
-    fn from_sorted(lat: &mut [u64]) -> Self {
-        lat.sort_unstable();
-        let pct = |num: u64, den: u64| -> u64 {
-            if lat.is_empty() {
-                0
-            } else {
-                lat[((lat.len() - 1) as u64 * num / den) as usize]
-            }
-        };
-        UpdateLatency {
-            count: lat.len() as u64,
-            p50_ns: pct(50, 100),
-            p99_ns: pct(99, 100),
-            p999_ns: pct(999, 1000),
-            max_ns: lat.last().copied().unwrap_or(0),
-        }
-    }
-}
-
-/// Everything one study run produces.
-#[derive(Debug, Clone)]
-pub struct SeqStudyOutcome {
-    /// The byte-deterministic report, ready to write to
-    /// `BENCH_sequential.json`.
-    pub json: String,
-    /// The speedup curve, one entry per configured `k`.
-    pub curve: Vec<CurvePoint>,
-    /// Update latency over the arrival replay.
-    pub latency: UpdateLatency,
-    /// Streamed-vs-batch posterior means proven bit-identical, one per
-    /// absorbed curve sample.
-    pub bitwise_checks: u64,
-    /// Virtual posterior updates per second over the replay makespan.
-    pub updates_per_s: f64,
-    /// Simulated silicon cost carried by the replayed arrivals, in
-    /// millihours.
-    pub simulation_millihours: u64,
-}
-
-/// Destination for the JSON report: `$BMF_SEQUENTIAL_OUT` when set (CI
-/// writes fresh copies next to — never over — the committed baseline),
-/// `BENCH_sequential.json` at the workspace root otherwise.
-pub fn output_path() -> String {
-    if let Ok(p) = std::env::var("BMF_SEQUENTIAL_OUT") {
-        return p;
-    }
-    // Anchor the default at the workspace root (cargo runs bench
-    // binaries from the package directory), so `cargo bench` writes next
-    // to the committed baseline.
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(m) => format!("{m}/../../BENCH_sequential.json"),
-        Err(_) => "BENCH_sequential.json".to_string(),
-    }
-}
-
 fn bitwise_mismatch(k: usize, i: usize, streamed: f64, batch: f64) -> BmfError {
     BmfError::Config {
         parameter: "sequential_study",
@@ -224,14 +137,15 @@ fn bitwise_mismatch(k: usize, i: usize, streamed: f64, batch: f64) -> BmfError {
 }
 
 /// Runs the configured study against the real streaming estimator and
-/// returns the deterministic report.
+/// returns the deterministic `BENCH_sequential.json` report.
 ///
 /// # Errors
 ///
 /// Propagates estimator errors and fails loudly (structured
 /// [`BmfError::Config`]) if any streamed posterior mean is not
-/// bit-identical to the batch refit of the same prefix.
-pub fn run_sequential_study(cfg: &SeqStudyConfig) -> Result<SeqStudyOutcome, BmfError> {
+/// bit-identical to the batch refit of the same prefix, or if [`check`]
+/// fails.
+pub fn run_sequential_study(cfg: &SeqStudyConfig) -> Result<BenchReport, BmfError> {
     let basis = OrthonormalBasis::linear(cfg.num_vars.max(1));
     let m = basis.len();
     let hyper = 0.75;
@@ -257,6 +171,7 @@ pub fn run_sequential_study(cfg: &SeqStudyConfig) -> Result<SeqStudyOutcome, Bmf
 
     let mut incr_total: u64 = 0;
     let mut refit_total: u64 = 0;
+    // (k, cumulative incremental ns, cumulative refit ns)
     let mut curve = Vec::with_capacity(cfg.curve_ks.len());
     let mut bitwise_checks: u64 = 0;
 
@@ -285,12 +200,7 @@ pub fn run_sequential_study(cfg: &SeqStudyConfig) -> Result<SeqStudyOutcome, Bmf
         bitwise_checks += 1;
 
         if cfg.curve_ks.contains(&k) {
-            curve.push(CurvePoint {
-                k,
-                incremental_total_ns: incr_total,
-                refit_total_ns: refit_total,
-                speedup_x: refit_total as f64 / incr_total.max(1) as f64,
-            });
+            curve.push((k, incr_total, refit_total));
         }
     }
 
@@ -340,30 +250,56 @@ pub fn run_sequential_study(cfg: &SeqStudyConfig) -> Result<SeqStudyOutcome, Bmf
             });
         }
     }
-    let latency = UpdateLatency::from_sorted(&mut latencies);
+    let latency = LatencySummary::from_sorted(&mut latencies);
     let updates_per_s = events.len() as f64 / (makespan_ns as f64 / 1e9);
 
     if cfg.assert_allocs {
         assert_steady_state_alloc_free(&basis, &prior, hyper)?;
     }
 
-    let json = render_json(
-        cfg,
-        m,
-        &curve,
-        latency,
-        bitwise_checks,
-        updates_per_s,
-        simulation_millihours,
+    let mut report = BenchReport::new();
+    report.section(
+        "scenario",
+        crate::fields! {
+            seed: cfg.seed, vars: cfg.num_vars.max(1), terms: m, k_max: cfg.k_max,
+            curve_points: curve.len(), arrivals: cfg.arrivals, jobs: cfg.jobs.max(1),
+        },
     );
-    Ok(SeqStudyOutcome {
-        json,
-        curve,
-        latency,
-        bitwise_checks,
-        updates_per_s,
-        simulation_millihours,
-    })
+    report.section(
+        "cost_model",
+        crate::fields! {
+            flop_ns: FLOP_NS, update_base_ns: UPDATE_BASE_NS, refit_base_ns: REFIT_BASE_NS,
+        },
+    );
+    for &(k, incremental, refit) in &curve {
+        report.section(
+            format!("curve_k{k}"),
+            crate::fields! { incremental_total_ns: incremental, refit_total_ns: refit },
+        );
+    }
+    // "throughput" in the key name tells the trend gate these regress
+    // downward: a shrinking speedup means streaming got more expensive.
+    report.section(
+        "speedup",
+        curve.iter().map(|&(k, incremental, refit)| {
+            let speedup = refit as f64 / incremental.max(1) as f64;
+            (format!("k{k}_x_throughput"), Value::Fixed(speedup, 3))
+        }),
+    );
+    report.section("latency_update", latency.fields());
+    report.section(
+        "arrival_cost",
+        crate::fields! {
+            simulation_millihours: simulation_millihours, updates: latency.count,
+        },
+    );
+    report.scalar("bitwise_checks", bitwise_checks);
+    report.scalar("updates_per_s_throughput", Value::Fixed(updates_per_s, 3));
+    check(&report).map_err(|detail| BmfError::Config {
+        parameter: "sequential_study",
+        detail,
+    })?;
+    Ok(report)
 }
 
 /// Proves the streaming steady state allocation-free: after
@@ -419,66 +355,26 @@ fn assert_steady_state_alloc_free(
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    cfg: &SeqStudyConfig,
-    terms: usize,
-    curve: &[CurvePoint],
-    latency: UpdateLatency,
-    bitwise_checks: u64,
-    updates_per_s: f64,
-    simulation_millihours: u64,
-) -> String {
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"scenario\": {{ \"seed\": {}, \"vars\": {}, \"terms\": {terms}, \"k_max\": {}, \
-         \"curve_points\": {}, \"arrivals\": {}, \"jobs\": {} }},",
-        cfg.seed,
-        cfg.num_vars.max(1),
-        cfg.k_max,
-        curve.len(),
-        cfg.arrivals,
-        cfg.jobs.max(1),
-    );
-    let _ = writeln!(
-        json,
-        "  \"cost_model\": {{ \"flop_ns\": {FLOP_NS}, \"update_base_ns\": {UPDATE_BASE_NS}, \
-         \"refit_base_ns\": {REFIT_BASE_NS} }},"
-    );
-    for p in curve {
-        let _ = writeln!(
-            json,
-            "  \"curve_k{}\": {{ \"incremental_total_ns\": {}, \"refit_total_ns\": {} }},",
-            p.k, p.incremental_total_ns, p.refit_total_ns,
-        );
+/// The sequential study's postconditions: every curve sample was
+/// bitwise-verified, updates were actually timed, and streaming beats
+/// per-sample refitting at `k_max`.
+///
+/// # Errors
+///
+/// Names the failed condition and the values it saw.
+pub fn check(report: &BenchReport) -> Result<(), String> {
+    let checks = report.metric("bitwise_checks")?;
+    let p99 = report.metric("latency_update.p99_ns")?;
+    let k_max = report.metric("scenario.k_max")?;
+    let speedup = report.metric(&format!("speedup.k{k_max}_x_throughput"))?;
+    if checks > 0.0 && p99 > 0.0 && speedup > 1.0 {
+        Ok(())
+    } else {
+        Err(format!(
+            "bad headline metric (bitwise_checks={checks}, update p99={p99} ns, \
+             k{k_max} speedup={speedup}x)"
+        ))
     }
-    // "throughput" in the key name tells the trend gate these regress
-    // downward: a shrinking speedup means streaming got more expensive.
-    let mut speedups = String::new();
-    for (i, p) in curve.iter().enumerate() {
-        if i > 0 {
-            speedups.push_str(", ");
-        }
-        let _ = write!(speedups, "\"k{}_x_throughput\": {:.3}", p.k, p.speedup_x);
-    }
-    let _ = writeln!(json, "  \"speedup\": {{ {speedups} }},");
-    let _ = writeln!(
-        json,
-        "  \"latency_update\": {{ \"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \
-         \"p999_ns\": {}, \"max_ns\": {} }},",
-        latency.count, latency.p50_ns, latency.p99_ns, latency.p999_ns, latency.max_ns,
-    );
-    let _ = writeln!(
-        json,
-        "  \"arrival_cost\": {{ \"simulation_millihours\": {simulation_millihours}, \
-         \"updates\": {} }},",
-        latency.count,
-    );
-    let _ = writeln!(json, "  \"bitwise_checks\": {bitwise_checks},");
-    let _ = writeln!(json, "  \"updates_per_s_throughput\": {updates_per_s:.3}");
-    json.push_str("}\n");
-    json
 }
 
 #[cfg(test)]
@@ -502,62 +398,37 @@ mod tests {
     #[test]
     fn study_is_byte_deterministic() {
         let a = run_sequential_study(&tiny()).expect("study run");
-        let b = run_sequential_study(&tiny()).expect("study run");
-        assert_eq!(a.json, b.json);
+        assert_eq!(a, run_sequential_study(&tiny()).expect("study run"));
     }
 
     #[test]
     fn every_curve_sample_is_bitwise_verified() {
         let out = run_sequential_study(&tiny()).expect("study run");
-        assert_eq!(out.bitwise_checks, 16, "one oracle check per sample");
-        assert_eq!(out.curve.len(), 3);
-        assert_eq!(out.latency.count, 128, "every arrival must be timed");
-        assert!(out.latency.p50_ns > 0);
-        assert!(out.updates_per_s > 0.0);
-        assert!(out.simulation_millihours > 0);
+        let m = |key: &str| out.metric(key).expect("gated key");
+        assert_eq!(m("bitwise_checks"), 16.0, "one oracle check per sample");
+        assert_eq!(m("scenario.curve_points"), 3.0);
+        assert_eq!(
+            m("latency_update.count"),
+            128.0,
+            "every arrival must be timed"
+        );
+        assert!(m("latency_update.p50_ns") > 0.0);
+        assert!(m("updates_per_s_throughput") > 0.0);
+        assert!(m("arrival_cost.simulation_millihours") > 0.0);
     }
 
     #[test]
     fn speedup_grows_with_stream_depth() {
         let out = run_sequential_study(&tiny()).expect("study run");
-        for pair in out.curve.windows(2) {
-            assert!(
-                pair[1].speedup_x > pair[0].speedup_x,
-                "refit cost is superlinear in k, so speedup must grow: {:?}",
-                out.curve
-            );
-        }
-        let last = out.curve.last().expect("curve points");
+        let speedup = |k: u32| {
+            out.metric(&format!("speedup.k{k}_x_throughput"))
+                .expect("curve point")
+        };
+        // Refit cost is superlinear in k, so the speedup must grow.
+        assert!(speedup(4) < speedup(8) && speedup(8) < speedup(16));
         assert!(
-            last.speedup_x > 2.0,
-            "streaming must clearly beat refitting at k=16, got {:.2}x",
-            last.speedup_x
-        );
-    }
-
-    #[test]
-    fn json_has_the_gated_keys() {
-        let out = run_sequential_study(&tiny()).expect("study run");
-        for key in [
-            "\"scenario\"",
-            "\"cost_model\"",
-            "\"curve_k4\"",
-            "\"curve_k16\"",
-            "\"speedup\"",
-            "\"k16_x_throughput\"",
-            "\"latency_update\"",
-            "\"p50_ns\"",
-            "\"p99_ns\"",
-            "\"arrival_cost\"",
-            "\"simulation_millihours\"",
-            "\"bitwise_checks\"",
-            "\"updates_per_s_throughput\"",
-        ] {
-            assert!(out.json.contains(key), "missing {key} in report");
-        }
-        assert!(
-            !out.json.to_lowercase().contains("nan"),
-            "non-finite value leaked into the report"
+            speedup(16) > 2.0,
+            "streaming must clearly beat refitting at k=16"
         );
     }
 

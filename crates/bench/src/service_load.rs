@@ -1,5 +1,5 @@
 //! Deterministic load generator for the fitting service
-//! (`cargo bench -p bmf-bench --bench service`).
+//! (`cargo bench -p bmf-bench --bench studies -- service`).
 //!
 //! Replays a seeded open-loop request stream
 //! ([`bmf_circuits::traffic`]) against a real
@@ -27,8 +27,6 @@
 //! * predictions and evictions are served lock-light off the registry
 //!   and are charged flat costs (no queueing).
 
-use std::fmt::Write as _;
-
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_circuits::traffic::{RequestKind, TrafficConfig, TrafficEvent};
 use bmf_core::hyper::log_grid;
@@ -37,6 +35,8 @@ use bmf_core::service::{FitRequest, FitService, ServiceConfig, Ticket};
 use bmf_core::BmfError;
 use bmf_stat::normal::StandardNormal;
 use bmf_stat::rng::{derive_seed, seeded};
+
+use crate::study::{BenchReport, LatencySummary, Value};
 
 /// Fixed virtual cost charged per coalesced batch run (dispatch, design
 /// matrix reuse, result installation).
@@ -115,77 +115,6 @@ impl LoadConfig {
     }
 }
 
-/// Latency percentiles over one request class, in virtual nanoseconds.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LatencySummary {
-    /// Requests in this class.
-    pub count: u64,
-    /// Median.
-    pub p50_ns: u64,
-    /// 99th percentile.
-    pub p99_ns: u64,
-    /// 99.9th percentile.
-    pub p999_ns: u64,
-    /// Worst case.
-    pub max_ns: u64,
-}
-
-impl LatencySummary {
-    /// Order-statistic percentiles over a latency sample (sorts it in
-    /// place). Empty input yields all-zero percentiles.
-    pub fn from_sorted(lat: &mut [u64]) -> Self {
-        lat.sort_unstable();
-        let pct = |num: u64, den: u64| -> u64 {
-            if lat.is_empty() {
-                0
-            } else {
-                lat[((lat.len() - 1) as u64 * num / den) as usize]
-            }
-        };
-        LatencySummary {
-            count: lat.len() as u64,
-            p50_ns: pct(50, 100),
-            p99_ns: pct(99, 100),
-            p999_ns: pct(999, 1000),
-            max_ns: lat.last().copied().unwrap_or(0),
-        }
-    }
-}
-
-/// Everything one load run produces.
-#[derive(Debug, Clone)]
-pub struct LoadOutcome {
-    /// The byte-deterministic report, ready to write to
-    /// `BENCH_service.json`.
-    pub json: String,
-    /// Latency over every request kind.
-    pub overall: LatencySummary,
-    /// Latency of fit requests (queueing + batch execution).
-    pub fit: LatencySummary,
-    /// Latency of predictions.
-    pub predict: LatencySummary,
-    /// Virtual requests per second over the stream makespan.
-    pub throughput_rps: f64,
-    /// Final service-wide counters.
-    pub counters: bmf_core::service::ServiceCounters,
-}
-
-/// Destination for the JSON report: `$BMF_SERVICE_OUT` when set (CI
-/// writes fresh copies next to — never over — the committed baseline),
-/// `BENCH_service.json` in the current directory otherwise.
-pub fn output_path() -> String {
-    if let Ok(p) = std::env::var("BMF_SERVICE_OUT") {
-        return p;
-    }
-    // Anchor the default at the workspace root (cargo runs bench
-    // binaries from the package directory), so `cargo bench` writes next
-    // to the committed baseline.
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(m) => format!("{m}/../../BENCH_service.json"),
-        Err(_) => "BENCH_service.json".to_string(),
-    }
-}
-
 /// One job's fixed payload: its truth never changes across refits, so a
 /// re-fitted model is bit-identical to the first fit.
 struct JobPayload {
@@ -196,13 +125,14 @@ struct JobPayload {
 }
 
 /// Replays the configured traffic against a fresh [`FitService`] and
-/// returns the deterministic report.
+/// returns the deterministic `BENCH_service.json` report.
 ///
 /// # Errors
 ///
-/// Propagates service construction and point-registration errors;
-/// per-request failures are counted, not propagated.
-pub fn run_load(cfg: &LoadConfig) -> Result<LoadOutcome, BmfError> {
+/// Propagates service construction and point-registration errors, and
+/// fails when [`check`] does; per-request failures are counted, not
+/// propagated.
+pub fn run_load(cfg: &LoadConfig) -> Result<BenchReport, BmfError> {
     let traffic = TrafficConfig {
         requests: cfg.requests,
         mean_interarrival_ns: cfg.mean_interarrival_ns,
@@ -296,7 +226,6 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadOutcome, BmfError> {
         last_completion_ns: 0,
     };
 
-    let wall = std::time::Instant::now();
     for (i, ev) in events.iter().enumerate() {
         engine.step(ev, &probes[i % probes.len()]);
     }
@@ -304,93 +233,73 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadOutcome, BmfError> {
     if let Some(&oldest) = engine.pending.first() {
         engine.drain_at(oldest + engine.window_ns);
     }
-    let wall_s = wall.elapsed().as_secs_f64();
 
     let last_arrival = events.last().map_or(0, |e| e.at_ns);
     let makespan_ns = engine.last_completion_ns.max(last_arrival).max(1);
     let throughput_rps = events.len() as f64 / (makespan_ns as f64 / 1e9);
 
-    let overall = LatencySummary::from_sorted(&mut engine.lat_all);
-    let fit = LatencySummary::from_sorted(&mut engine.lat_fit);
-    let predict = LatencySummary::from_sorted(&mut engine.lat_predict);
-    let counters = service.counters();
-    let fit_errors = engine.fit_errors;
-
-    // Wall time is printed, never serialized: the JSON must be
-    // byte-identical across machines and thread counts.
-    println!(
-        "service/load                             {} requests in {wall_s:.3} s wall \
-         ({} batches, {} models live)",
-        events.len(),
-        counters.batches,
-        service.snapshot_count(),
+    let c = service.counters();
+    let mut report = BenchReport::new();
+    report.section(
+        "scenario",
+        crate::fields! {
+            requests: cfg.requests, seed: cfg.seed, vars: basis.num_vars(), terms: terms,
+            samples: cfg.samples.max(terms), jobs: traffic.jobs, groups: traffic.groups,
+            folds: 4u64, grid: 9u64, max_coalesce: cfg.max_coalesce.max(1),
+            coalesce_window_ns: cfg.coalesce_window_ns.max(1),
+            fit_permille: traffic.fit_permille, evict_permille: traffic.evict_permille,
+        },
     );
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"scenario\": {{ \"requests\": {}, \"seed\": {}, \"vars\": {}, \"terms\": {terms}, \
-         \"samples\": {}, \"jobs\": {}, \"groups\": {}, \"folds\": 4, \"grid\": 9, \
-         \"max_coalesce\": {}, \"coalesce_window_ns\": {}, \"fit_permille\": {}, \
-         \"evict_permille\": {} }},",
-        cfg.requests,
-        cfg.seed,
-        basis.num_vars(),
-        cfg.samples.max(terms),
-        traffic.jobs,
-        traffic.groups,
-        cfg.max_coalesce.max(1),
-        cfg.coalesce_window_ns.max(1),
-        traffic.fit_permille,
-        traffic.evict_permille,
+    report.section(
+        "traffic",
+        crate::fields! {
+            fits_ok: c.fits_ok, fit_errors: engine.fit_errors, predicts: c.predicts,
+            predict_misses: c.predict_misses, evictions: c.evictions,
+            evict_misses: c.evict_misses,
+        },
     );
-    let _ = writeln!(
-        json,
-        "  \"traffic\": {{ \"fits_ok\": {}, \"fit_errors\": {fit_errors}, \"predicts\": {}, \
-         \"predict_misses\": {}, \"evictions\": {}, \"evict_misses\": {} }},",
-        counters.fits_ok,
-        counters.predicts,
-        counters.predict_misses,
-        counters.evictions,
-        counters.evict_misses,
+    report.section(
+        "coalescing",
+        crate::fields! {
+            batches: c.batches, coalesced_fits: c.coalesced_fits, max_batch: c.max_batch,
+            isolation_refits: c.isolation_refits, kernel_cache_hits: c.kernel_cache_hits,
+            kernel_cache_misses: c.kernel_cache_misses, map_solves: c.map_solves,
+            degraded_fits: c.degraded_fits,
+        },
     );
-    let _ = writeln!(
-        json,
-        "  \"coalescing\": {{ \"batches\": {}, \"coalesced_fits\": {}, \"max_batch\": {}, \
-         \"isolation_refits\": {}, \"kernel_cache_hits\": {}, \"kernel_cache_misses\": {}, \
-         \"map_solves\": {}, \"degraded_fits\": {} }},",
-        counters.batches,
-        counters.coalesced_fits,
-        counters.max_batch,
-        counters.isolation_refits,
-        counters.kernel_cache_hits,
-        counters.kernel_cache_misses,
-        counters.map_solves,
-        counters.degraded_fits,
-    );
-    for (name, l) in [
-        ("latency_overall", &overall),
-        ("latency_fit", &fit),
-        ("latency_predict", &predict),
+    for (name, lat) in [
+        ("latency_overall", &mut engine.lat_all),
+        ("latency_fit", &mut engine.lat_fit),
+        ("latency_predict", &mut engine.lat_predict),
     ] {
-        let _ = writeln!(
-            json,
-            "  \"{name}\": {{ \"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \
-             \"p999_ns\": {}, \"max_ns\": {} }},",
-            l.count, l.p50_ns, l.p99_ns, l.p999_ns, l.max_ns
-        );
+        report.section(name, LatencySummary::from_sorted(lat).fields());
     }
-    let _ = writeln!(json, "  \"throughput_rps\": {throughput_rps:.3}");
-    json.push_str("}\n");
+    report.scalar("throughput_rps", Value::Fixed(throughput_rps, 3));
+    check(&report).map_err(|detail| BmfError::Config {
+        parameter: "service_load",
+        detail,
+    })?;
+    Ok(report)
+}
 
-    Ok(LoadOutcome {
-        json,
-        overall,
-        fit,
-        predict,
-        throughput_rps,
-        counters,
-    })
+/// The service study's postconditions: fits were actually served and
+/// timed, and the stream moved at a positive rate.
+///
+/// # Errors
+///
+/// Names the failed condition and the values it saw.
+pub fn check(report: &BenchReport) -> Result<(), String> {
+    let fits_ok = report.metric("traffic.fits_ok")?;
+    let fit_p99 = report.metric("latency_fit.p99_ns")?;
+    let rps = report.metric("throughput_rps")?;
+    if fits_ok > 0.0 && fit_p99 > 0.0 && rps > 0.0 {
+        Ok(())
+    } else {
+        Err(format!(
+            "non-positive headline metric (fits_ok={fits_ok}, fit p99={fit_p99} ns, \
+             throughput={rps} rps)"
+        ))
+    }
 }
 
 /// The replay engine's mutable state; see the module docs for the
@@ -541,72 +450,41 @@ mod tests {
 
     #[test]
     fn load_run_is_byte_deterministic() {
-        let a = run_load(&tiny()).expect("load run");
-        let b = run_load(&tiny()).expect("load run");
-        assert_eq!(a.json, b.json);
+        assert_eq!(
+            run_load(&tiny()).expect("load run"),
+            run_load(&tiny()).expect("load run")
+        );
     }
 
     #[test]
     fn load_run_serves_all_kinds() {
         let out = run_load(&tiny()).expect("load run");
-        assert!(out.counters.fits_ok > 0, "no fits served");
-        assert!(out.counters.predicts > 0, "no predictions served");
+        let m = |key: &str| out.metric(key).expect("gated key");
+        assert!(m("traffic.predicts") > 0.0, "no predictions served");
         assert!(
-            out.counters.predict_misses > 0,
+            m("traffic.predict_misses") > 0.0,
             "cold-start predicts should miss"
         );
         assert_eq!(
-            out.overall.count, 2_000,
+            m("latency_overall.count"),
+            2_000.0,
             "every request must be accounted for"
         );
-        assert!(out.throughput_rps > 0.0);
         // Clean workload: every fit request is served, none rejected.
-        assert_eq!(out.counters.fits_ok, out.fit.count);
+        assert_eq!(m("traffic.fits_ok"), m("latency_fit.count"));
     }
 
     #[test]
     fn coalescing_actually_happens() {
         let out = run_load(&tiny()).expect("load run");
         assert!(
-            out.counters.coalesced_fits > 0,
+            out.metric("coalescing.coalesced_fits") > Ok(0.0),
             "window {}ns should coalesce concurrent fits",
             LoadConfig::full().coalesce_window_ns
         );
         assert!(
-            out.counters.kernel_cache_hits > 0,
+            out.metric("coalescing.kernel_cache_hits") > Ok(0.0),
             "coalesced jobs share kernels"
         );
-    }
-
-    #[test]
-    fn json_has_the_gated_keys() {
-        let out = run_load(&tiny()).expect("load run");
-        for key in [
-            "\"latency_overall\"",
-            "\"latency_fit\"",
-            "\"latency_predict\"",
-            "\"p50_ns\"",
-            "\"p99_ns\"",
-            "\"p999_ns\"",
-            "\"throughput_rps\"",
-            "\"coalescing\"",
-        ] {
-            assert!(out.json.contains(key), "missing {key} in report");
-        }
-        assert!(
-            !out.json.contains("wall"),
-            "wall time must stay out of the JSON"
-        );
-    }
-
-    #[test]
-    fn percentiles_are_order_statistics() {
-        let mut lat: Vec<u64> = (1..=1000).collect();
-        let s = LatencySummary::from_sorted(&mut lat);
-        assert_eq!(s.count, 1000);
-        assert_eq!(s.p50_ns, 500);
-        assert_eq!(s.p99_ns, 990);
-        assert_eq!(s.p999_ns, 999);
-        assert_eq!(s.max_ns, 1000);
     }
 }

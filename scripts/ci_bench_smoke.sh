@@ -6,7 +6,7 @@
 # per-fit allocation budgets.
 #
 # Usage:
-#   scripts/ci_bench_smoke.sh solver fitting_cost omp batch service
+#   scripts/ci_bench_smoke.sh solver fitting_cost omp batch studies
 #   scripts/ci_bench_smoke.sh --features bench solver batch
 set -euo pipefail
 
@@ -20,29 +20,12 @@ if [[ "${1:-}" == "--features" ]]; then
 fi
 [[ $# -gt 0 ]] || { echo "usage: $0 [--features <feat>] <bench>..." >&2; exit 2; }
 
-# The service/persist benches write BENCH_*.json; route smoke output to
-# a scratch path so the committed full-scale baselines are never
-# clobbered. Absolute paths: cargo runs bench binaries from the package
+# The studies bench writes BENCH_*.json; route smoke output to a
+# scratch directory so the committed full-scale baselines are never
+# clobbered. Absolute path: cargo runs bench binaries from the package
 # directory.
-mkdir -p target/smoke
-if [[ -z "${BMF_SERVICE_OUT:-}" ]]; then
-    export BMF_SERVICE_OUT="$(pwd)/target/smoke/BENCH_service.json"
-fi
-if [[ -z "${BMF_PERSIST_OUT:-}" ]]; then
-    export BMF_PERSIST_OUT="$(pwd)/target/smoke/BENCH_persist.json"
-fi
-if [[ -z "${BMF_PERSIST_DIR:-}" ]]; then
-    export BMF_PERSIST_DIR="$(pwd)/target/smoke/persist-store"
-fi
-if [[ -z "${BMF_SEQUENTIAL_OUT:-}" ]]; then
-    export BMF_SEQUENTIAL_OUT="$(pwd)/target/smoke/BENCH_sequential.json"
-fi
-if [[ -z "${BMF_CHAOS_OUT:-}" ]]; then
-    export BMF_CHAOS_OUT="$(pwd)/target/smoke/BENCH_chaos.json"
-fi
-if [[ -z "${BMF_LINT_OUT:-}" ]]; then
-    export BMF_LINT_OUT="$(pwd)/target/smoke/BENCH_lint.json"
-fi
+export BMF_BENCH_OUT="${BMF_BENCH_OUT:-$(pwd)/target/smoke}"
+mkdir -p "$BMF_BENCH_OUT"
 
 for bench in "$@"; do
     echo "== smoke: $bench ${features[1]:+(features: ${features[1]})}=="
