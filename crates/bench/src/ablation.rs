@@ -36,6 +36,7 @@ use bmf_stat::rng::{derive_seed, seeded};
 
 use crate::report::{pct, secs, Report};
 use crate::scale::Scale;
+use crate::timing::{measure, FULL_SAMPLES};
 
 /// Ablation: prior family accuracy vs early/late coefficient shift.
 ///
@@ -505,7 +506,10 @@ pub fn solver_scaling(scale: Scale, seed: u64) -> Result<Report> {
     r.para(&format!(
         "K = {k} samples; one MAP solve each. The fast solver factorizes only a \
          K×K core, so its cost is flat in M while Cholesky grows as M³; both return \
-         the same coefficients to rounding error.",
+         the same coefficients to rounding error. The fast time is the median of \
+         {FULL_SAMPLES} warm samples after one calibration and one warm-up sample \
+         (`bmf_bench::timing::measure`); the Cholesky time is one cold solve, which \
+         at the largest M takes minutes.",
     ));
     let mut rows = Vec::new();
     for (i, &m) in sizes.iter().enumerate() {
@@ -516,9 +520,9 @@ pub fn solver_scaling(scale: Scale, seed: u64) -> Result<Report> {
         let f = g.matvec(&Vector::from(truth.clone()))?;
         let prior = Prior::from_coeffs(PriorKind::NonZeroMean, &truth);
 
-        let t0 = Instant::now();
-        let fast = map_estimate(&g, &f, &prior, &FitOptions::new().hyper(1.0))?;
-        let fast_s = t0.elapsed().as_secs_f64();
+        let fast_options = FitOptions::new().hyper(1.0);
+        let fast = map_estimate(&g, &f, &prior, &fast_options)?;
+        let fast_s = measure(|| map_estimate(&g, &f, &prior, &fast_options)).median;
         let t0 = Instant::now();
         let direct = map_estimate(
             &g,
@@ -537,7 +541,13 @@ pub fn solver_scaling(scale: Scale, seed: u64) -> Result<Report> {
         ]);
     }
     r.table(
-        &["M", "Cholesky (s)", "fast (s)", "speedup", "max |Δα|"],
+        &[
+            "M",
+            "Cholesky (s)",
+            "fast (s, median)",
+            "speedup",
+            "max |Δα|",
+        ],
         &rows,
     );
     Ok(r)

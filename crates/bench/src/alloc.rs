@@ -139,7 +139,7 @@ mod tests {
     #[test]
     fn stats_is_monotone_in_count() {
         let a = stats();
-        let _keep = vec![1u8; 128];
+        let _keep = Box::new([1u8; 128]);
         let b = stats();
         assert!(b.count >= a.count);
     }

@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 const TARGET_SAMPLE: Duration = Duration::from_millis(20);
 
 /// Samples collected per bench in full mode (median-of-N reporting).
-const FULL_SAMPLES: usize = 11;
+pub const FULL_SAMPLES: usize = 11;
 
 /// Command-line driven bench harness.
 #[derive(Debug, Clone)]
@@ -94,35 +94,60 @@ impl Harness {
             return;
         }
 
-        // Calibrate: how many calls fill one sample window?
-        let t = Instant::now();
-        black_box(f());
-        let once = t.elapsed().max(Duration::from_nanos(1));
-        let iters = (TARGET_SAMPLE.as_nanos() / once.as_nanos()).clamp(1, 10_000) as usize;
+        let t = measure(f);
+        println!(
+            "{name:<40} median {:>10}   min {:>10}   mean {:>10}   ({FULL_SAMPLES} samples × {} iters)",
+            format_secs(t.median),
+            format_secs(t.min),
+            format_secs(t.mean),
+            t.iters,
+        );
+    }
+}
 
-        // Warmup sample (also faults in caches after calibration).
+/// Per-call wall time of a warm closure, in seconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Timing {
+    /// Median over the samples.
+    pub median: f64,
+    /// Fastest sample.
+    pub min: f64,
+    /// Mean over the samples.
+    pub mean: f64,
+    /// Calls per sample.
+    pub iters: usize,
+}
+
+/// Times `f` as [`Harness::bench`] does in full mode: calibrates an
+/// iteration count so one sample lasts at least 20 ms, warms up for one
+/// sample, then times [`FULL_SAMPLES`] samples and reports per-call
+/// statistics. `f` runs at least `2 + FULL_SAMPLES` times.
+pub fn measure<R>(mut f: impl FnMut() -> R) -> Timing {
+    // Calibrate: how many calls fill one sample window?
+    let t = Instant::now();
+    black_box(f());
+    let once = t.elapsed().max(Duration::from_nanos(1));
+    let iters = (TARGET_SAMPLE.as_nanos() / once.as_nanos()).clamp(1, 10_000) as usize;
+
+    // Warmup sample (also faults in caches after calibration).
+    for _ in 0..iters {
+        black_box(f());
+    }
+
+    let mut per_call: Vec<f64> = Vec::with_capacity(FULL_SAMPLES);
+    for _ in 0..FULL_SAMPLES {
+        let t = Instant::now();
         for _ in 0..iters {
             black_box(f());
         }
-
-        let mut per_call: Vec<f64> = Vec::with_capacity(FULL_SAMPLES);
-        for _ in 0..FULL_SAMPLES {
-            let t = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            per_call.push(t.elapsed().as_secs_f64() / iters as f64);
-        }
-        per_call.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        let median = per_call[per_call.len() / 2];
-        let min = per_call[0];
-        let mean = per_call.iter().sum::<f64>() / per_call.len() as f64;
-        println!(
-            "{name:<40} median {:>10}   min {:>10}   mean {:>10}   ({FULL_SAMPLES} samples × {iters} iters)",
-            format_secs(median),
-            format_secs(min),
-            format_secs(mean),
-        );
+        per_call.push(t.elapsed().as_secs_f64() / iters as f64);
+    }
+    per_call.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    Timing {
+        median: per_call[per_call.len() / 2],
+        min: per_call[0],
+        mean: per_call.iter().sum::<f64>() / per_call.len() as f64,
+        iters,
     }
 }
 

@@ -12,6 +12,7 @@ use bmf_bench::service_load::{self, LoadConfig};
 use bmf_bench::study::{gate, BenchReport, LatencySummary, Value};
 
 const ALLOCS: &str = include_str!("../../../BENCH_allocs.json");
+const ALLOCS_MD: &str = include_str!("../../../reports/allocs.md");
 const CHAOS: &str = include_str!("../../../BENCH_chaos.json");
 const LINT: &str = include_str!("../../../BENCH_lint.json");
 const PERSIST: &str = include_str!("../../../BENCH_persist.json");
@@ -129,6 +130,53 @@ fn committed_reports_round_trip_losslessly() {
     }
 }
 
+/// `repro allocs` writes `BENCH_allocs.json` and `reports/allocs.md` in
+/// one run, so the committed Markdown must state the JSON's scenario and
+/// carry its numbers in every table row (wall time to the table's four
+/// decimals).
+#[test]
+fn committed_allocs_markdown_matches_the_json() {
+    let json = parse(ALLOCS);
+    let metric = |key: String| json.metric(&key).unwrap();
+    let scenario = format!(
+        "M = {} terms, K = {} samples, {} folds × {} grid points",
+        metric("scenario.terms".into()),
+        metric("scenario.samples".into()),
+        metric("scenario.folds".into()),
+        metric("scenario.grid".into()),
+    );
+    assert!(
+        ALLOCS_MD.contains(&scenario),
+        "allocs.md lacks `{scenario}`"
+    );
+    let jobs = format!("batch of {} jobs", metric("scenario.jobs".into()));
+    assert!(ALLOCS_MD.contains(&jobs), "allocs.md lacks `{jobs}`");
+    let mut rows = Vec::new();
+    for line in ALLOCS_MD.lines().filter(|l| l.contains("_cv_fit |")) {
+        let cells: Vec<&str> = line.trim_matches('|').split('|').map(str::trim).collect();
+        let [name, fits, allocs, per_fit, peak, wall] = cells[..] else {
+            panic!("malformed allocs.md row {line:?}");
+        };
+        for (key, cell) in [
+            ("fits", fits),
+            ("allocs", allocs),
+            ("allocs_per_fit", per_fit),
+            ("peak_bytes", peak),
+        ] {
+            let md: f64 = cell.parse().expect("numeric cell");
+            assert_eq!(md, metric(format!("{name}.{key}")), "{name}.{key}");
+        }
+        let md_wall: f64 = wall.parse().expect("numeric wall time");
+        let json_wall = metric(format!("{name}.wall_s"));
+        assert!(
+            (md_wall - json_wall).abs() <= 0.6e-4,
+            "{name}.wall_s: {md_wall} vs {json_wall}"
+        );
+        rows.push(name);
+    }
+    assert_eq!(rows, ["serial_cv_fit", "batch_cv_fit"]);
+}
+
 #[test]
 fn writer_and_parser_refuse_non_finite_numbers() {
     for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
@@ -154,10 +202,27 @@ type GateCase = (
     Option<&'static str>,
 );
 
+/// The committed allocs report with `section`'s wall time 1000× longer,
+/// whatever the committed time is.
+fn slow_wall(section: &str) -> BenchReport {
+    let key = format!("\"{section}\"");
+    let line = ALLOCS
+        .lines()
+        .find(|l| l.contains(&key))
+        .expect("section in the allocs report");
+    let wall = parse(ALLOCS).metric(&format!("{section}.wall_s")).unwrap();
+    let slow = line.replace(
+        &format!("\"wall_s\": {wall:.6}"),
+        &format!("\"wall_s\": {:.6}", wall * 1000.0),
+    );
+    assert_ne!(slow, line, "wall_s of {section} not rewritten");
+    doctor(ALLOCS, line, &slow)
+}
+
 #[test]
 fn trend_gate_cases() {
-    let serial_wall = doctor(ALLOCS, "\"wall_s\": 0.000861", "\"wall_s\": 0.861000");
-    let batch_wall = doctor(ALLOCS, "\"wall_s\": 0.006854", "\"wall_s\": 6.854000");
+    let serial_wall = slow_wall("serial_cv_fit");
+    let batch_wall = slow_wall("batch_cv_fit");
     let cases: Vec<GateCase> = vec![
         (
             "service smoke vs the 1M-request baseline",

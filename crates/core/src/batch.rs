@@ -10,14 +10,16 @@
 //!   every job;
 //! * the cross-validation fold row-selections depend only on `(K, folds,
 //!   seed)`;
-//! * the per-fold Woodbury kernels (`B_F`, `B_Z`, Θ(K²M) each) depend
-//!   only on the fold and the *normalized prior values* — jobs whose
-//!   priors coincide after normalization share them exactly.
+//! * the Woodbury kernels (`B_F`, `B_Z`, Θ(K²M)) depend only on the
+//!   *normalized prior values* — jobs whose priors coincide after
+//!   normalization share them exactly — and each fold's kernels are a
+//!   principal sub-block of the full-data ones.
 //!
 //! [`BatchFitter`] evaluates the design matrix once, builds each distinct
-//! kernel once, and dispatches the remaining per-job work — grid sweeps
-//! over every `(fold, hyper, family)` cell, then reduction and the final
-//! full-data solve — across a scoped worker pool.
+//! full-data kernel once and slices it per fold, and dispatches the
+//! remaining per-job work — grid sweeps over every `(fold, hyper,
+//! family)` cell, then reduction and the final full-data solve — across
+//! a scoped worker pool.
 //!
 //! # Determinism
 //!
@@ -60,7 +62,7 @@ use bmf_basis::basis::OrthonormalBasis;
 use bmf_linalg::Vector;
 
 use crate::fusion::{response_scale, BmfFit, FitCounters, ResilienceReport};
-use crate::hyper::{build_fold_sweep, reduce_outcomes, sweep_fold, FoldErrors, FoldPlan};
+use crate::hyper::{build_full_sweep, reduce_outcomes, sweep_fold, FoldErrors, FoldPlan};
 use crate::map_estimate::{map_estimate_ws, MapSweep};
 use crate::model::PerformanceModel;
 use crate::options::{validate_folds, validate_grid, FitOptions};
@@ -104,8 +106,8 @@ pub struct PhaseTimings {
     /// Design-matrix evaluation, fold planning, and response
     /// normalization (runs once, serially).
     pub prepare: Duration,
-    /// Woodbury kernel factorizations (parallel; one task per distinct
-    /// `(prior pattern, fold)` pair).
+    /// Woodbury kernel builds (parallel; one task per distinct prior
+    /// pattern: the full-data kernels, then each fold's sub-block).
     pub kernels: Duration,
     /// Cross-validation grid sweeps (parallel; one task per
     /// `(job, fold)` pair, covering every `(hyper, family)` cell).
@@ -291,22 +293,22 @@ impl BatchFitter {
             ..PhaseTimings::default()
         };
 
-        // Phase 2 (parallel): one kernel factorization per distinct
-        // (pattern, fold) pair. `None` marks a fold too small for the
+        // Phase 2 (parallel): one task per distinct prior pattern builds
+        // the full-data kernels and slices every fold's principal
+        // sub-block out of them, so only one full-data kernel per worker
+        // is alive at a time. `None` marks a fold too small for the
         // pattern's missing-prior block (skipped, as in the serial path).
         let t1 = Instant::now();
-        let kernels: Vec<Result<Option<MapSweep<'_>>>> =
-            run_indexed(threads, num_patterns * num_folds, |task| {
-                let (pi, fi) = (task / num_folds, task % num_folds);
-                let mut scratch = FitCounters::default();
-                build_fold_sweep(
-                    &g,
-                    &plan.folds[fi],
-                    &prepared[pattern_owner[pi]].prior,
-                    &mut scratch,
-                )
-            });
-        let kernels = first_error(kernels)?;
+        let per_pattern = run_indexed(threads, num_patterns, |pi| {
+            let full = build_full_sweep(&g, &prepared[pattern_owner[pi]].prior)?;
+            Ok(plan
+                .folds
+                .iter()
+                .map(|fold| full.as_ref().and_then(|s| s.restrict(&fold.train)))
+                .collect::<Vec<_>>())
+        });
+        let kernels: Vec<Option<MapSweep<'_>>> =
+            first_error(per_pattern)?.into_iter().flatten().collect();
         timings.kernels = t1.elapsed();
 
         // Phase 3 (parallel): one grid sweep per (job, fold) pair, each

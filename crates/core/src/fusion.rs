@@ -30,8 +30,8 @@ use crate::{BmfError, Result};
 
 /// Lightweight work counters accumulated during a fit.
 ///
-/// Counting is exact, not sampled: every MAP solve and every Woodbury
-/// kernel factorization increments its counter. The batch engine adds
+/// Counting is exact, not sampled: every MAP solve and every fold's
+/// Woodbury kernel increments its counter. The batch engine adds
 /// cache accounting — a *hit* is a kernel another job already built for
 /// the same fold and prior, a *miss* is a kernel that had to be built.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -39,8 +39,9 @@ pub struct FitCounters {
     /// MAP systems solved (one per `(fold, grid, kind)` CV cell plus the
     /// final full-data solve).
     pub map_solves: usize,
-    /// Woodbury kernels factorized (one per usable fold, plus the final
-    /// full-data kernel).
+    /// Fold Woodbury kernels built (one per usable cross-validation
+    /// fold; the final full-data solve builds its own and is not
+    /// counted).
     pub kernels_built: usize,
     /// Batch kernel-cache hits (kernels reused from another job).
     pub kernel_cache_hits: usize,

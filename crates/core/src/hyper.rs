@@ -8,15 +8,20 @@
 //! (eq. 59) on the held-out group; average over the N rotations; pick the
 //! grid value with the smallest mean error.
 //!
-//! Two layers of work-sharing keep the sweep cheap:
+//! Three layers of work-sharing keep the sweep cheap, all bit-identical
+//! to solving every `(fold, grid, family)` cell from scratch:
 //!
 //! * a [`FoldPlan`] computes the per-fold row index tables **once**;
 //!   the fold "sub-matrices" are zero-copy row views of the one shared
 //!   design matrix, reused across every grid point, both prior
 //!   families, and (through [`crate::batch::BatchFitter`]) every job of
 //!   a batch fit;
-//! * each fold builds one [`MapSweep`], so adding grid points costs only
-//!   a K×K factorization each, not a full Θ(K²M) rebuild.
+//! * the Θ(K²M) Woodbury kernels are built **once per fit** over all K
+//!   rows; each fold's [`MapSweep`] takes its kernels as the principal
+//!   sub-block on its training rows, so a fold costs Θ(K²) to set up;
+//! * per fold, `Gᵀf` is projected once, and per grid point the core is
+//!   factored once and shared by both prior families, so a grid point
+//!   costs one factorization plus Θ(KM) matvecs per family.
 
 use bmf_linalg::view::matvec_into;
 use bmf_linalg::{Matrix, Vector};
@@ -134,10 +139,13 @@ pub(crate) type FoldErrors = Vec<Vec<Option<f64>>>;
 /// Sweeps one fold over the whole grid for each requested prior family,
 /// reusing `sweep`'s Woodbury kernels for every `(grid, kind)` cell.
 ///
-/// The fold's responses are gathered into (and every per-cell solve runs
-/// out of) `ws`; the validation sub-matrix is a zero-copy row view of
-/// the shared `g`. `counters.map_solves` is incremented per successful
-/// solve; kernel-build accounting belongs to whoever constructed `sweep`.
+/// `Gᵀf` of the fold's training responses is computed once per fold and
+/// the core is factored once per grid point; every family then solves
+/// against that one factor. The responses are gathered into (and every
+/// solve runs out of) `ws`; the validation sub-matrix is a zero-copy row
+/// view of the shared `g`. `counters.map_solves` and the resilience
+/// record are incremented per successful cell; kernel-build accounting
+/// belongs to whoever constructed `sweep`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sweep_fold(
     sweep: &MapSweep<'_>,
@@ -167,13 +175,20 @@ pub(crate) fn sweep_fold(
     resize(&mut fs.alpha, g.ncols());
     resize(&mut fs.pred, fold.validate.len());
     let mut errors: FoldErrors = vec![vec![None; grid.len()]; kinds.len()];
+    sweep.project_into(&fs.f_train, map)?;
     for (gi, &h) in grid.iter().enumerate() {
+        // A core the ladder cannot rescue fails every family's cell.
+        let core = match sweep.factor_into(h, map) {
+            Ok(core) => core,
+            Err(BmfError::Linalg(_)) => continue,
+            Err(e) => return Err(e),
+        };
         for (ki, &kind) in kinds.iter().enumerate() {
-            match sweep.solve_kind_into(&fs.f_train, h, kind, map, &mut fs.alpha) {
+            match sweep.solve_factored_into(&core, kind, map, &mut fs.alpha) {
                 // A degraded cell still contributes its validation error —
                 // the ladder made it solvable — but the escalation is
                 // recorded so the fit can report it.
-                Ok(res) => counters.record_resilience(&res),
+                Ok(()) => counters.record_resilience(&core.resilience),
                 Err(BmfError::Linalg(_)) => continue,
                 Err(e) => return Err(e),
             }
@@ -193,21 +208,17 @@ pub(crate) fn sweep_fold(
     Ok(errors)
 }
 
-/// Builds the kernel for one fold — a zero-copy row view of the shared
-/// design matrix — or `None` when the fold is too small for the
-/// missing-prior block (the fold is then skipped, matching the
-/// historical behaviour).
-pub(crate) fn build_fold_sweep<'a>(
+/// Builds the full-data sweep — kernels over every row of the shared
+/// design matrix, which each fold then slices with [`MapSweep::restrict`]
+/// — or `None` when even all K rows are too few for the missing-prior
+/// block. A fold whose slice is `None` (too few training rows for the
+/// missing-prior block) is skipped, matching the historical behaviour.
+pub(crate) fn build_full_sweep<'a>(
     g: &'a Matrix,
-    fold: &'a PlannedFold,
     prior_nzm: &Prior,
-    counters: &mut FitCounters,
 ) -> Result<Option<MapSweep<'a>>> {
-    match MapSweep::from_view(g.rows_view(&fold.train), prior_nzm) {
-        Ok(s) => {
-            counters.kernels_built += 1;
-            Ok(Some(s))
-        }
+    match MapSweep::from_view(g.as_view(), prior_nzm) {
+        Ok(s) => Ok(Some(s)),
         Err(BmfError::NotEnoughSamples { .. }) => Ok(None),
         Err(e) => Err(e),
     }
@@ -270,9 +281,9 @@ where
 }
 
 /// Runs the full cross-validation sweep for the requested prior families
-/// over a pre-built [`FoldPlan`], sharing one kernel per fold across
-/// every `(grid, kind)` cell. Fold sub-matrices are row views of the
-/// shared `g`; all per-cell scratch lives in `ws`.
+/// over a pre-built [`FoldPlan`]: one full-data kernel build, sliced per
+/// fold, shared across every `(grid, kind)` cell. Fold sub-matrices are
+/// row views of the shared `g`; all per-cell scratch lives in `ws`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn cv_on_plan(
     g: &Matrix,
@@ -289,12 +300,14 @@ pub(crate) fn cv_on_plan(
     // dropped (the precisions — and thus the Woodbury kernels — are
     // identical for both families).
     let nzm = prior.with_kind(PriorKind::NonZeroMean);
+    let full = build_full_sweep(g, &nzm)?;
     let mut fold_errors: Vec<Option<FoldErrors>> = Vec::with_capacity(plan.folds.len());
     for fold in &plan.folds {
-        let Some(sweep) = build_fold_sweep(g, fold, &nzm, counters)? else {
+        let Some(sweep) = full.as_ref().and_then(|s| s.restrict(&fold.train)) else {
             fold_errors.push(None);
             continue;
         };
+        counters.kernels_built += 1;
         fold_errors.push(Some(sweep_fold(
             &sweep, g, fold, f, grid, kinds, counters, ws,
         )?));

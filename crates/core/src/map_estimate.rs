@@ -23,9 +23,11 @@
 //!   (zero diagonal precision) through the exact augmented formulation in
 //!   [`bmf_linalg::woodbury`].
 
-use bmf_linalg::view::{matvec_into, matvec_transpose_into, outer_gram_diag_into, MatRef};
+use bmf_linalg::view::{
+    matvec_into, matvec_transpose_into, outer_gram_cols_into, outer_gram_diag_into, MatRef,
+};
 use bmf_linalg::{
-    factor_lu_ladder, factor_spd_ladder, ladder_solve_in_place, lu_solve_into, view, woodbury,
+    factor_lu_ladder, factor_spd_ladder, ladder_solve_in_place, view, woodbury, FactorKind,
     LadderPolicy, LinalgError, Matrix, Resilience, Vector,
 };
 
@@ -215,19 +217,27 @@ pub(crate) fn map_estimate_ws(
 /// design matrix and prior *structure*.
 ///
 /// Cross-validation (§IV-D) solves the same MAP system for many values of
-/// `σ₀²`/`η`. Because the prior precision scales *linearly* with the
-/// hyper-parameter (`D(h) = h·A`, `A = diag(α_E,m⁻²)`), the expensive
-/// Woodbury kernels can be computed once:
+/// `σ₀²`/`η` and for both prior families. Because the prior precision
+/// scales *linearly* with the hyper-parameter (`D(h) = h·A`,
+/// `A = diag(α_E,m⁻²)`), the expensive Woodbury kernels are computed
+/// once:
 ///
 /// ```text
-/// B_F = G_F·A_F⁻¹·G_Fᵀ   (finite-prior columns)
-/// B_Z = G_Z·G_Zᵀ          (missing-prior columns)
+/// B_F = G_F·A_F⁻¹·G_Fᵀ   (finite-prior columns, Θ(K²M))
+/// B_Z = G_Z·G_Zᵀ          (missing-prior columns only, Θ(K²|Z|))
 /// ```
 ///
-/// after which each hyper-parameter value costs one K×K (or
-/// (K+|Z|)×(K+|Z|)) factorization plus Θ(KM) matvecs, instead of the full
-/// Θ(K²M) rebuild. The produced estimates are identical to
-/// [`map_estimate`] with [`SolverKind::Fast`].
+/// Every kernel entry depends only on its two rows of `G`, so the kernels
+/// of a row subset are the principal sub-block of the full-data kernels:
+/// cross-validation builds one sweep over all K rows and slices each
+/// fold's sweep out of it, bit-identical to building the fold's kernels
+/// from scratch.
+///
+/// Each hyper-parameter value then costs one K×K (or (K+|Z|)×(K+|Z|))
+/// factorization, which both prior families share since the core does
+/// not depend on the prior mean, plus Θ(KM) matvecs per family. The
+/// produced estimates are identical to [`map_estimate`] with
+/// [`SolverKind::Fast`].
 #[derive(Debug, Clone)]
 pub struct MapSweep<'g> {
     /// Borrowed view of the design matrix — a fold sweep views a row
@@ -244,8 +254,24 @@ pub struct MapSweep<'g> {
     b_z: Matrix,
     /// Woodbury shift for the missing block.
     tau: f64,
-    /// `Gᵀ f` is *not* cached — `f` may vary per fold; rhs built per call.
-    _private: (),
+}
+
+/// A sweep core factored at one hyper-parameter value. The factor itself
+/// lives in the [`MapScratch`] that [`MapSweep::factor_into`] wrote; this
+/// token carries the rest of what [`MapSweep::solve_factored_into`] needs
+/// to solve for either prior family against it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FactoredCore {
+    hyper: f64,
+    kind: FactorKind,
+    /// Degradation-ladder outcome of the factorization.
+    pub(crate) resilience: Resilience,
+}
+
+/// Woodbury shift `τ` of the missing block: the mean diagonal of `B_Z`,
+/// summed in row order.
+fn woodbury_shift(b_z: &Matrix, missing: usize) -> f64 {
+    ((0..b_z.nrows()).map(|i| b_z[(i, i)]).sum::<f64>() / missing as f64).max(1e-12)
 }
 
 impl<'g> MapSweep<'g> {
@@ -258,9 +284,8 @@ impl<'g> MapSweep<'g> {
         Self::from_view(g.as_view(), prior)
     }
 
-    /// Builds the sweep cache over a borrowed design-matrix view — the
-    /// zero-copy entry point used by the cross-validation engines, whose
-    /// per-fold training matrices are row-subset views of one shared `G`.
+    /// Builds the sweep cache over a borrowed design-matrix view, e.g. a
+    /// row-subset view of a larger shared `G`.
     ///
     /// # Errors
     ///
@@ -299,18 +324,9 @@ impl<'g> MapSweep<'g> {
         let (b_z, tau) = if missing.is_empty() {
             (Matrix::zeros(0, 0), 1.0)
         } else {
-            let indicator: Vec<f64> = (0..m)
-                .map(|i| {
-                    if bmf_linalg::is_exact_zero(unit[i]) {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
             let mut b_z = Matrix::zeros(k, k);
-            outer_gram_diag_into(g, &indicator, b_z.as_view_mut())?;
-            let tau = ((0..k).map(|i| b_z[(i, i)]).sum::<f64>() / missing.len() as f64).max(1e-12);
+            outer_gram_cols_into(g, &missing, b_z.as_view_mut())?;
+            let tau = woodbury_shift(&b_z, missing.len());
             (b_z, tau)
         };
         // Prior means (independent of hyper): alpha_E for NZM, 0 for ZM.
@@ -328,7 +344,43 @@ impl<'g> MapSweep<'g> {
             b_f,
             b_z,
             tau,
-            _private: (),
+        })
+    }
+
+    /// The sweep over the rows `rows` of this sweep's (dense) design
+    /// matrix, with kernels sliced as principal sub-blocks and `τ`
+    /// recomputed from the sliced diagonal in row order — bit-identical
+    /// to [`MapSweep::from_view`] on `g.select_rows(rows)` at Θ(|rows|²)
+    /// instead of Θ(|rows|²·M). `None` when fewer rows than
+    /// missing-prior coefficients remain (where `from_view` would return
+    /// [`BmfError::NotEnoughSamples`]).
+    pub(crate) fn restrict<'r>(&self, rows: &'r [usize]) -> Option<MapSweep<'r>>
+    where
+        'g: 'r,
+    {
+        let nz = self.missing.len();
+        if nz > rows.len() {
+            return None;
+        }
+        let n = rows.len();
+        let slice = |full: &Matrix| Matrix::from_fn(n, n, |i, j| full[(rows[i], rows[j])]);
+        let (b_z, tau) = if self.missing.is_empty() {
+            (Matrix::zeros(0, 0), 1.0)
+        } else {
+            let b_z = slice(&self.b_z);
+            let tau = woodbury_shift(&b_z, nz);
+            (b_z, tau)
+        };
+        Some(MapSweep {
+            g: self.g.select_rows(rows),
+            // Clone: once per fold, O(M) — the fold sweep owns its prior
+            // structure like any other sweep.
+            a: self.a.clone(),
+            prior_mean: self.prior_mean.clone(),
+            missing: self.missing.clone(),
+            b_f: slice(&self.b_f),
+            b_z,
+            tau,
         })
     }
 
@@ -344,7 +396,7 @@ impl<'g> MapSweep<'g> {
     /// # Errors
     ///
     /// Same conditions as [`MapSweep::solve`].
-    // bmf-lint: allow(screen-reachability) -- solve_kind_into screens the response (screen::finite_values) before any arithmetic; the sweep matrices were screened at build time
+    // bmf-lint: allow(screen-reachability) -- project_into screens the response (screen::finite_values) before any arithmetic; the sweep matrices were screened at build time
     pub fn solve_with_kind(
         &self,
         f: &Vector,
@@ -353,7 +405,9 @@ impl<'g> MapSweep<'g> {
     ) -> Result<Vector> {
         let mut ws = MapScratch::default();
         let mut out = vec![0.0; self.g.ncols()];
-        self.solve_kind_into(f.as_slice(), hyper, kind, &mut ws, &mut out)?;
+        self.project_into(f.as_slice(), &mut ws)?;
+        let core = self.factor_into(hyper, &mut ws)?;
+        self.solve_factored_into(&core, kind, &mut ws, &mut out)?;
         Ok(Vector::from(out))
     }
 
@@ -368,34 +422,9 @@ impl<'g> MapSweep<'g> {
         self.solve_with_kind(f, hyper, crate::prior::PriorKind::NonZeroMean)
     }
 
-    /// The allocation-free core of [`MapSweep::solve_with_kind`]: all
-    /// intermediates live in `ws`, the coefficients land in `out` (length
-    /// M, fully overwritten). The grid loops of cross-validation call
-    /// this once per `(hyper, family)` cell with one shared workspace.
-    /// Returns the degradation-ladder outcome of the factorization.
-    pub(crate) fn solve_kind_into(
-        &self,
-        f: &[f64],
-        hyper: f64,
-        kind: crate::prior::PriorKind,
-        ws: &mut MapScratch,
-        out: &mut [f64],
-    ) -> Result<Resilience> {
-        let use_mean = match kind {
-            crate::prior::PriorKind::NonZeroMean => true,
-            crate::prior::PriorKind::ZeroMean => false,
-        };
-        self.solve_inner_into(f, hyper, use_mean, ws, out)
-    }
-
-    fn solve_inner_into(
-        &self,
-        f: &[f64],
-        hyper: f64,
-        use_mean: bool,
-        ws: &mut MapScratch,
-        out: &mut [f64],
-    ) -> Result<Resilience> {
+    /// Projects the response: `ws.rhs = Gᵀf`, the one Θ(KM) product
+    /// every `(hyper, family)` solve for this `f` shares. Screens `f`.
+    pub(crate) fn project_into(&self, f: &[f64], ws: &mut MapScratch) -> Result<()> {
         let (k, m) = self.g.shape();
         if f.len() != k {
             return Err(BmfError::SampleShape {
@@ -403,6 +432,15 @@ impl<'g> MapSweep<'g> {
                 detail: format!("{k} design rows vs {} values", f.len()),
             });
         }
+        crate::screen::finite_values("response values", f)?;
+        resize(&mut ws.rhs, m);
+        matvec_transpose_into(self.g, f, &mut ws.rhs)?;
+        Ok(())
+    }
+
+    /// Assembles and factors the core at `hyper` into `ws` (through the
+    /// degradation ladder) — the family-independent half of a solve.
+    pub(crate) fn factor_into(&self, hyper: f64, ws: &mut MapScratch) -> Result<FactoredCore> {
         if !(hyper > 0.0 && hyper.is_finite()) {
             return Err(BmfError::config(
                 "hyper",
@@ -410,36 +448,14 @@ impl<'g> MapSweep<'g> {
                 format!("must be positive and finite, got {hyper}"),
             ));
         }
-        if out.len() != m {
-            return Err(LinalgError::DimensionMismatch {
-                op: "map sweep (coefficient buffer)",
-                lhs: (m, 1),
-                rhs: (out.len(), 1),
-            }
-            .into());
-        }
-        crate::screen::finite_values("response values", f)?;
+        let k = self.g.nrows();
         let MapScratch {
-            rhs,
             dt_inv,
-            t,
-            gt,
-            y,
-            u,
-            uy,
             core,
             perm,
             ladder,
-            woodbury: _,
+            ..
         } = ws;
-        // rhs = G^T f + h·A·prior_mean (mean dropped for zero-mean use).
-        resize(rhs, m);
-        matvec_transpose_into(self.g, f, rhs)?;
-        if use_mean {
-            for (r, (&a, &mean)) in rhs.iter_mut().zip(self.a.iter().zip(&self.prior_mean)) {
-                *r += hyper * a * mean;
-            }
-        }
         // D-tilde inverse diag: 1/(h·a_m) finite, 1/tau missing.
         dt_inv.clear();
         dt_inv.extend(self.a.iter().map(|&a| {
@@ -449,10 +465,6 @@ impl<'g> MapSweep<'g> {
                 1.0 / self.tau
             }
         }));
-        t.clear();
-        t.extend(rhs.iter().zip(dt_inv.iter()).map(|(&r, &d)| d * r));
-        resize(gt, k);
-        matvec_into(self.g, t, gt)?;
 
         if self.missing.is_empty() {
             // core = I + B_F / h.
@@ -467,15 +479,11 @@ impl<'g> MapSweep<'g> {
             }
             let (kind, resilience) =
                 factor_spd_ladder(core, perm, ladder, &LadderPolicy::default())?;
-            resize(y, k);
-            y.copy_from_slice(gt);
-            ladder_solve_in_place(kind, core, perm, ladder, y)?;
-            resize(uy, m);
-            matvec_transpose_into(self.g, y, uy)?;
-            for i in 0..m {
-                out[i] = t[i] - dt_inv[i] * uy[i];
-            }
-            return Ok(resilience);
+            return Ok(FactoredCore {
+                hyper,
+                kind,
+                resilience,
+            });
         }
 
         // Augmented system (see bmf_linalg::woodbury docs): W has blocks
@@ -497,13 +505,69 @@ impl<'g> MapSweep<'g> {
             }
         }
         let resilience = factor_lu_ladder(core, perm, ladder, &LadderPolicy::default())?;
-        resize(u, n);
-        u[..k].copy_from_slice(gt);
-        for (jz, &z) in self.missing.iter().enumerate() {
-            u[k + jz] = t[z];
+        Ok(FactoredCore {
+            hyper,
+            kind: FactorKind::Lu,
+            resilience,
+        })
+    }
+
+    /// Solves for one prior family against the core `factor_into` left in
+    /// `ws`, using the response `project_into` left there; the
+    /// coefficients land in `out` (length M, fully overwritten). Both
+    /// families can solve against one factor, in either order: this only
+    /// reads the factor and the projected response.
+    pub(crate) fn solve_factored_into(
+        &self,
+        factored: &FactoredCore,
+        kind: crate::prior::PriorKind,
+        ws: &mut MapScratch,
+        out: &mut [f64],
+    ) -> Result<()> {
+        let (k, m) = self.g.shape();
+        if out.len() != m || ws.rhs.len() != m {
+            return Err(LinalgError::DimensionMismatch {
+                op: "map sweep (coefficient or projected-response buffer)",
+                lhs: (m, 1),
+                rhs: (out.len(), ws.rhs.len()),
+            }
+            .into());
         }
-        resize(y, n);
-        lu_solve_into(core, perm, u, y)?;
+        let use_mean = match kind {
+            crate::prior::PriorKind::NonZeroMean => true,
+            crate::prior::PriorKind::ZeroMean => false,
+        };
+        let hyper = factored.hyper;
+        let MapScratch {
+            rhs,
+            dt_inv,
+            t,
+            y,
+            uy,
+            core,
+            perm,
+            ladder,
+            ..
+        } = ws;
+        // t = D-tilde^-1 (G^T f + h·A·prior_mean); the mean is dropped for
+        // zero-mean use.
+        t.clear();
+        t.extend((0..m).map(|i| {
+            let mut r = rhs[i];
+            if use_mean {
+                r += hyper * self.a[i] * self.prior_mean[i];
+            }
+            dt_inv[i] * r
+        }));
+        // Core right-hand side [G·t; t_Z], solved in place (see
+        // bmf_linalg::woodbury docs for the augmented block).
+        let nz = self.missing.len();
+        resize(y, k + nz);
+        matvec_into(self.g, t, &mut y[..k])?;
+        for (jz, &z) in self.missing.iter().enumerate() {
+            y[k + jz] = t[z];
+        }
+        ladder_solve_in_place(factored.kind, core, perm, ladder, y)?;
         resize(uy, m);
         matvec_transpose_into(self.g, &y[..k], uy)?;
         for (jz, &z) in self.missing.iter().enumerate() {
@@ -512,7 +576,7 @@ impl<'g> MapSweep<'g> {
         for i in 0..m {
             out[i] = t[i] - dt_inv[i] * uy[i];
         }
-        Ok(resilience)
+        Ok(())
     }
 }
 

@@ -48,9 +48,7 @@ impl SolveWorkspace {
         ws.map.rhs.reserve(m);
         ws.map.dt_inv.reserve(m);
         ws.map.t.reserve(m);
-        ws.map.gt.reserve(k + m);
         ws.map.y.reserve(k + m);
-        ws.map.u.reserve(k + m);
         ws.map.uy.reserve(m);
         ws.fold.f_train.reserve(k);
         ws.fold.f_val.reserve(k);
@@ -64,18 +62,16 @@ impl SolveWorkspace {
 /// intermediates of the sweep solver, and the assembled core system.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MapScratch {
-    /// `Gᵀf + prior contribution` (length M).
+    /// `Gᵀf + prior contribution` (length M). The sweep solver keeps
+    /// `Gᵀf` alone here, shared by every grid point and prior family.
     pub(crate) rhs: Vec<f64>,
     /// Inverse modified prior precisions (length M).
     pub(crate) dt_inv: Vec<f64>,
     /// `D̃⁻¹·rhs` (length M).
     pub(crate) t: Vec<f64>,
-    /// `G·t` (length K).
-    pub(crate) gt: Vec<f64>,
-    /// Core-system solution (length K or K + missing).
+    /// Core right-hand side `[G·t; t_Z]`, solved in place into the
+    /// core-system solution (length K + missing).
     pub(crate) y: Vec<f64>,
-    /// Augmented right-hand side (length K + missing).
-    pub(crate) u: Vec<f64>,
     /// `Gᵀ·y₁` back-projection (length M).
     pub(crate) uy: Vec<f64>,
     /// The assembled core system (K×K, (K+missing)², or M×M for the
@@ -163,7 +159,7 @@ mod tests {
     fn for_problem_reserves_without_len() {
         let ws = SolveWorkspace::for_problem(8, 32);
         assert!(ws.map.rhs.capacity() >= 32);
-        assert!(ws.map.gt.capacity() >= 40);
+        assert!(ws.map.y.capacity() >= 40);
         assert!(ws.fold.f_train.capacity() >= 8);
         assert!(ws.map.rhs.is_empty());
     }

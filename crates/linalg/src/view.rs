@@ -687,6 +687,50 @@ pub fn outer_gram_diag_into(a: MatRef<'_>, diag: &[f64], mut out: MatMut<'_>) ->
     Ok(())
 }
 
+/// Outer Gram matrix `out = a_C · a_Cᵀ` over the column subset `cols`
+/// (ascending), writing into a caller buffer (every element written).
+///
+/// Bitwise equal to [`outer_gram_diag_into`] with the 0/1 indicator of
+/// `cols` as the diagonal whenever every product `a[i][c]·a[j][c]` is
+/// finite: an indicator-1 term `p·q·1` is exactly `p·q`, and an
+/// indicator-0 term is `±0`, which leaves a sum that starts at `+0`
+/// unchanged. The cost is Θ(K²·|C|) instead of Θ(K²·M).
+///
+/// # Errors
+///
+/// Returns [`LinalgError::DimensionMismatch`] when a column index is out
+/// of bounds or `out` is not `a.nrows() × a.nrows()`.
+pub fn outer_gram_cols_into(a: MatRef<'_>, cols: &[usize], mut out: MatMut<'_>) -> Result<()> {
+    if let Some(&c) = cols.iter().find(|&&c| c >= a.ncols()) {
+        return Err(LinalgError::DimensionMismatch {
+            op: "outer_gram_cols",
+            lhs: a.shape(),
+            rhs: (c, 1),
+        });
+    }
+    let k = a.nrows();
+    if out.shape() != (k, k) {
+        return Err(LinalgError::DimensionMismatch {
+            op: "outer_gram_cols_into (out)",
+            lhs: (k, k),
+            rhs: out.shape(),
+        });
+    }
+    for i in 0..k {
+        let ri = a.row(i);
+        for j in i..k {
+            let rj = a.row(j);
+            let mut s = 0.0;
+            for &c in cols {
+                s += ri[c] * rj[c];
+            }
+            out.row_mut(i)[j] = s;
+            out.row_mut(j)[i] = s;
+        }
+    }
+    Ok(())
+}
+
 /// Diagonally weighted dot product `Σᵢ a[i]·b[i]·diag[i]`, accumulated
 /// left to right with the exact multiply order of
 /// [`outer_gram_diag_into`]'s inner loop (of which this is the extracted
