@@ -164,7 +164,7 @@ impl OrthonormalBasis {
             self.fill_row(x, &mut data[start..]);
             rows += 1;
         }
-        // bmf-lint: allow(no-panic-paths) -- every row is written with self.len() entries just above
+        // bmf-lint: allow(panic-reachability) -- every row is written with self.len() entries just above
         Matrix::from_row_major(rows, self.len(), data).expect("rows are uniform by construction")
     }
 

@@ -116,7 +116,7 @@ impl FingerExpansion {
     ///
     /// Panics when `w == 0`.
     pub fn uniform(num_vars: usize, w: usize) -> Self {
-        // bmf-lint: allow(no-panic-paths) -- w > 0 is checked by the only caller (uniform constructor contract)
+        // bmf-lint: allow(panic-reachability) -- w > 0 is checked by the only caller (uniform constructor contract)
         FingerExpansion::new(vec![w; num_vars]).expect("w > 0 enforced by caller contract")
     }
 

@@ -53,7 +53,7 @@ impl GaussHermite {
             j[(k - 1, k)] = b;
             j[(k, k - 1)] = b;
         }
-        // bmf-lint: allow(no-panic-paths) -- the Jacobi matrix is built symmetric three lines up
+        // bmf-lint: allow(panic-reachability) -- the Jacobi matrix is built symmetric three lines up
         let eig = SymmetricEigen::new(&j).expect("Jacobi matrix is symmetric");
         // Weights: first-row components squared (total mass 1 for the
         // normalized normal weight).

@@ -112,8 +112,6 @@ pub struct LintCounters {
     pub panic_sinks: u64,
     /// Allocation sinks recorded (before suppression).
     pub alloc_sinks: u64,
-    /// Indexing sinks recorded (off-by-default for reachability).
-    pub index_sinks: u64,
     /// VFS operations recorded (the durability automaton's alphabet).
     pub vfs_ops: u64,
     /// Findings that survived suppressions, all rules.
@@ -234,7 +232,6 @@ fn count_structure(analysis: &Analysis) -> LintCounters {
             match s.kind {
                 SinkKind::Panic => c.panic_sinks += 1,
                 SinkKind::Alloc => c.alloc_sinks += 1,
-                SinkKind::Index => c.index_sinks += 1,
             }
         }
     }
@@ -267,8 +264,7 @@ fn render_report(cfg: &LintStudyConfig, c: &LintCounters) -> BenchReport {
     report.section(
         "sinks",
         crate::fields! {
-            panic: c.panic_sinks, alloc: c.alloc_sinks, index: c.index_sinks,
-            vfs_ops: c.vfs_ops,
+            panic: c.panic_sinks, alloc: c.alloc_sinks, vfs_ops: c.vfs_ops,
         },
     );
     report.section(

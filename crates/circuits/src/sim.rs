@@ -163,7 +163,7 @@ pub fn monte_carlo_par(
             }));
         }
         for h in handles {
-            // bmf-lint: allow(no-panic-paths) -- re-raising a worker panic on join is the only sane propagation
+            // bmf-lint: allow(panic-reachability) -- re-raising a worker panic on join is the only sane propagation
             results.push(h.join().expect("sampler thread panicked"));
         }
     });

@@ -572,7 +572,7 @@ mod tests {
     fn fold_plan_selects_each_row_once_as_validation() {
         let g = design(13, 4, 8);
         let plan = FoldPlan::new(13, 5, 3).unwrap();
-        let mut seen = vec![false; 13];
+        let mut seen = [false; 13];
         for fold in &plan.folds {
             let g_train = g.rows_view(&fold.train);
             let g_val = g.rows_view(&fold.validate);

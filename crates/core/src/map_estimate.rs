@@ -428,7 +428,7 @@ impl<'g> MapSweep<'g> {
         let (k, m) = self.g.shape();
         if f.len() != k {
             return Err(BmfError::SampleShape {
-                // bmf-lint: allow(no-alloc-in-into-kernels) -- error construction: allocates only on the failure path
+                // bmf-lint: allow(alloc-reachability) -- error construction: allocates only on the failure path
                 detail: format!("{k} design rows vs {} values", f.len()),
             });
         }
@@ -444,7 +444,7 @@ impl<'g> MapSweep<'g> {
         if !(hyper > 0.0 && hyper.is_finite()) {
             return Err(BmfError::config(
                 "hyper",
-                // bmf-lint: allow(no-alloc-in-into-kernels) -- error construction: allocates only on the failure path
+                // bmf-lint: allow(alloc-reachability) -- error construction: allocates only on the failure path
                 format!("must be positive and finite, got {hyper}"),
             ));
         }

@@ -36,11 +36,11 @@ fn eval(truth: &[f64], p: &[f64]) -> f64 {
             .sum::<f64>()
 }
 
-fn make_batch(
-    r: usize,
-    num_jobs: usize,
-    points: &[Vec<f64>],
-) -> (BatchFitter, Vec<Vec<Option<f64>>>, Vec<Vec<f64>>) {
+/// A fitter with `num_jobs` queued jobs, plus each job's prior and
+/// responses.
+type Batch = (BatchFitter, Vec<Vec<Option<f64>>>, Vec<Vec<f64>>);
+
+fn make_batch(r: usize, num_jobs: usize, points: &[Vec<f64>]) -> Batch {
     let basis = OrthonormalBasis::linear(r);
     let mut fitter = BatchFitter::new(basis);
     let mut priors = Vec::new();

@@ -273,7 +273,7 @@ impl Matrix {
         let m = self.cols;
         let mut out = Matrix::zeros(m, m);
         view::gram_into(self.as_view(), out.as_view_mut())
-            // bmf-lint: allow(no-panic-paths) -- shape mismatch is impossible: out is allocated two lines up with matching dims
+            // bmf-lint: allow(panic-reachability) -- shape mismatch is impossible: out is allocated two lines up with matching dims
             .unwrap_or_else(|_| unreachable!("output allocated with matching shape"));
         out
     }

@@ -223,7 +223,11 @@ mod tests {
 
     #[test]
     fn roundtrip_parse_render() {
-        let f = finding("no-panic-paths", "crates/stat/src/prop.rs", "panic!(\"x\")");
+        let f = finding(
+            "panic-reachability",
+            "crates/stat/src/prop.rs",
+            "panic!(\"x\")",
+        );
         let entries = vec![entry_for(&f, "harness panics by design")];
         let text = render(&entries);
         assert_eq!(parse(&text).unwrap(), entries);

@@ -331,21 +331,17 @@ fn resolve_method(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse_file;
-    use crate::scan::FileModel;
-    use crate::SourceFile;
+    use crate::{Analysis, SourceFile};
 
     fn graph(files: &[(&str, &str)]) -> CallGraph {
-        let mut nodes = Vec::new();
-        for (path, src) in files {
-            let file = SourceFile {
+        let sources = files
+            .iter()
+            .map(|(path, src)| SourceFile {
                 path: path.to_string(),
                 text: src.to_string(),
-            };
-            let model = FileModel::build(&file.text);
-            nodes.extend(parse_file(&file, &model));
-        }
-        CallGraph::build(nodes)
+            })
+            .collect();
+        Analysis::build(sources).graph
     }
 
     fn idx(g: &CallGraph, qualified: &str) -> usize {

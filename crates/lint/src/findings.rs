@@ -3,7 +3,7 @@
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// The rule that produced this finding (e.g. `no-panic-paths`).
+    /// The rule that produced this finding (e.g. `panic-reachability`).
     pub rule: String,
     /// Workspace-relative path of the offending file.
     pub file: String,

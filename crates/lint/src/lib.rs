@@ -9,13 +9,13 @@
 //! pre-existing justified findings are pinned in `lint-baseline.toml`,
 //! and only *new* findings fail the gate.
 //!
-//! Pipeline: [`lexer`] tokenizes, [`scan::FileModel`] recovers structure
-//! (test spans, fn bodies, inner attributes, suppressions), [`parse`]
-//! lifts function items with their calls and sinks, [`callgraph`]
-//! resolves a workspace-wide call graph, [`rules`] (file rules and
-//! flow-aware graph rules over [`reach`]) produce
-//! [`findings::Finding`]s, [`baseline`] diffs them against the pinned
-//! set, and [`report`] renders human or JSON output.
+//! Pipeline: [`lexer`] tokenizes, one structural pass
+//! ([`parse::FileModel`]) recovers test spans, inner attributes,
+//! suppressions, and the function items with their calls and sinks,
+//! [`callgraph`] resolves a workspace-wide call graph over those items,
+//! [`rules`] (file rules and flow-aware graph rules over [`reach`])
+//! produce [`findings::Finding`]s, [`baseline`] diffs them against the
+//! pinned set, and [`report`] renders human or JSON output.
 //!
 //! Inline suppressions take the form
 //! `// bmf-lint: allow(<rule>) -- <reason>` on the offending line or the
@@ -29,7 +29,7 @@
 //!     "fn f(x: Option<u32>) -> u32 { x.unwrap() }",
 //! );
 //! assert_eq!(findings.len(), 1);
-//! assert_eq!(findings[0].rule, "no-panic-paths");
+//! assert_eq!(findings[0].rule, "panic-reachability");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,12 +44,11 @@ pub mod parse;
 pub mod reach;
 pub mod report;
 pub mod rules;
-pub mod scan;
 pub mod workspace;
 
 use findings::{line_snippet, Finding};
+use parse::FileModel;
 use rules::{all_rule_ids, all_rules, graph_rules};
-use scan::FileModel;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
@@ -67,7 +66,7 @@ pub struct SourceFile {
 pub struct AnalyzedFile {
     /// The source file.
     pub source: SourceFile,
-    /// The token/structure model the rules query.
+    /// The structural model (tokens, spans, fn items) the rules query.
     pub model: FileModel,
 }
 
@@ -83,19 +82,17 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// Builds the analysis: per-file models, parsed items, call graph.
+    /// Builds the analysis: per-file models, then the call graph over
+    /// their function items.
     pub fn build(sources: Vec<SourceFile>) -> Analysis {
         let files: Vec<AnalyzedFile> = sources
             .into_iter()
             .map(|source| {
-                let model = FileModel::build(&source.text);
+                let model = FileModel::build(&source);
                 AnalyzedFile { source, model }
             })
             .collect();
-        let mut nodes = Vec::new();
-        for f in &files {
-            nodes.extend(parse::parse_file(&f.source, &f.model));
-        }
+        let nodes = files.iter().flat_map(|f| f.model.fns.clone()).collect();
         let by_path = files
             .iter()
             .enumerate()
@@ -214,7 +211,7 @@ mod tests {
 
     #[test]
     fn suppression_silences_a_finding() {
-        let src = "fn f(x: Option<u32>) -> u32 {\n    // bmf-lint: allow(no-panic-paths) -- demo\n    x.unwrap()\n}\n";
+        let src = "fn f(x: Option<u32>) -> u32 {\n    // bmf-lint: allow(panic-reachability) -- demo\n    x.unwrap()\n}\n";
         let findings = lint_source("crates/core/src/example.rs", src);
         assert!(findings.is_empty(), "{findings:?}");
     }

@@ -91,17 +91,14 @@ impl Reachability {
 mod tests {
     use super::*;
     use crate::callgraph::CallGraph;
-    use crate::parse::parse_file;
-    use crate::scan::FileModel;
-    use crate::SourceFile;
+    use crate::{Analysis, SourceFile};
 
     fn graph(src: &str) -> CallGraph {
-        let file = SourceFile {
+        Analysis::build(vec![SourceFile {
             path: "crates/core/src/a.rs".to_string(),
             text: src.to_string(),
-        };
-        let model = FileModel::build(&file.text);
-        CallGraph::build(parse_file(&file, &model))
+        }])
+        .graph
     }
 
     #[test]

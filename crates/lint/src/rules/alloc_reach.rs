@@ -1,34 +1,33 @@
-//! `alloc-reachability`: the transitive closure of
-//! `no-alloc-in-into-kernels`.
+//! `alloc-reachability`: functions named `*_into` / `*_in_place` (and
+//! `GrowingCholesky` methods, PR 8's row-growth engine) advertise "writes
+//! into caller-provided storage, allocates nothing" — the contract that
+//! took the fitting stack from ~2.4k to ~100 allocations per fit
+//! (DESIGN.md §9), load-bearing for the alloc-budget assertions the
+//! benches enforce in CI.
 //!
-//! A `*_into`/`*_in_place` kernel that allocates nothing itself but
-//! *calls* an allocating helper still breaks the alloc-budget contract
-//! (DESIGN.md §9). Roots are the zero-allocation kernels (suffix-named
-//! fns plus `GrowingCholesky` methods, PR 8's row-growth engine); sinks
-//! are functions containing live allocating constructs; traversal skips
-//! the sanctioned growth path (`reserve*`/`with_capacity*` helpers,
-//! where amortized allocation is the documented contract).
+//! Roots are those zero-allocation kernels; sinks are functions
+//! containing live allocating constructs (`Vec::new`, called or passed
+//! uncalled, `vec!`, `format!`, `.to_vec()`, `.clone()`, `.collect()`,
+//! `.push(..)`, …). A kernel is flagged when it holds a sink itself or
+//! reaches one; traversal skips the sanctioned growth path
+//! (`reserve*`/`with_capacity*` helpers, where amortized allocation is
+//! the documented contract).
 //!
 //! Traversal uses **strong edges only** (path calls, bare calls,
 //! impl-narrowed `self.m(..)`): allocating builders are legal almost
 //! everywhere, so weak `.m(..)` fan-out through ubiquitous names like
 //! `len`/`iter`/`row` would connect every kernel to some builder and
 //! drown the rule in noise. The direct sink list still catches
-//! allocating method calls (`.to_vec()`, `.push(..)`, …) written in the
-//! kernel itself.
+//! allocating method calls written in the kernel itself.
 
-use super::{in_crates, GraphRule, FITTING_CRATES};
+use super::{in_crates, live_sink, reach_finding, GraphRule, Subject, FITTING_CRATES};
 use crate::findings::Finding;
-use crate::parse::{Sink, SinkKind};
+use crate::parse::SinkKind;
 use crate::reach;
 use crate::Analysis;
 
 /// See the module docs.
 pub struct AllocReachability;
-
-/// Suppressing either the direct or the reachability rule on a sink line
-/// neutralizes the sink for this rule.
-const SINK_RULES: &[&str] = &["no-alloc-in-into-kernels", "alloc-reachability"];
 
 fn is_kernel(name: &str, self_ty: &str) -> bool {
     if name.ends_with("_into") || name.ends_with("_in_place") {
@@ -41,14 +40,6 @@ fn is_kernel(name: &str, self_ty: &str) -> bool {
 /// instead of reporting their allocations.
 fn is_reserve_path(name: &str) -> bool {
     name.starts_with("reserve") || name.starts_with("with_capacity")
-}
-
-fn first_live_sink(analysis: &Analysis, node_idx: usize) -> Option<&Sink> {
-    let node = &analysis.graph.nodes[node_idx];
-    let model = analysis.model_for(&node.file)?;
-    node.sinks.iter().find(|s| {
-        s.kind == SinkKind::Alloc && !SINK_RULES.iter().any(|r| model.suppressed(r, s.line))
-    })
 }
 
 impl GraphRule for AllocReachability {
@@ -64,16 +55,15 @@ impl GraphRule for AllocReachability {
         "`*_into`/`*_in_place` functions and `GrowingCholesky` methods advertise \
          `writes into caller-provided storage, allocates nothing` — the contract \
          behind the ~20x allocation reduction pinned by the alloc-budget benches. \
-         `no-alloc-in-into-kernels` catches allocations written inside a kernel; this \
-         rule walks the call graph so a kernel that delegates to an allocating helper \
-         is flagged too, with the witness chain. The sanctioned growth path is \
-         exempt: traversal does not descend into `reserve*`/`with_capacity*` \
-         helpers, where amortized allocation is the documented design. Traversal \
-         follows strong edges only (path calls, bare calls, impl-narrowed \
-         `self.m(..)`): weak method fan-out through ubiquitous names like `len` or \
-         `iter` would connect every kernel to some legal builder. Suppress on \
-         the allocating line (either rule id) for allocations that are provably \
-         outside the hot loop."
+         A kernel is flagged when its own body allocates or when the call graph \
+         connects it to an allocating helper, with the witness chain. The \
+         sanctioned growth path is exempt: traversal does not descend into \
+         `reserve*`/`with_capacity*` helpers, where amortized allocation is the \
+         documented design. Traversal follows strong edges only (path calls, bare \
+         calls, impl-narrowed `self.m(..)`): weak method fan-out through ubiquitous \
+         names like `len` or `iter` would connect every kernel to some legal \
+         builder. Suppress `alloc-reachability` on the allocating line for \
+         allocations that are provably outside the hot loop."
     }
 
     fn check(&self, analysis: &Analysis, out: &mut Vec<Finding>) {
@@ -84,48 +74,26 @@ impl GraphRule for AllocReachability {
             .map(|n| in_crates(&n.file, FITTING_CRATES) && !is_reserve_path(&n.name))
             .collect();
         let is_sink: Vec<bool> = (0..g.nodes.len())
-            .map(|i| allowed[i] && first_live_sink(analysis, i).is_some())
+            .map(|i| allowed[i] && live_sink(analysis, i, SinkKind::Alloc, self.id()).is_some())
             .collect();
         let r = reach::to_sinks(g, &is_sink, &allowed, reach::EdgeSet::Strong);
         for (i, n) in g.nodes.iter().enumerate() {
-            if !allowed[i] || !is_kernel(&n.name, &n.self_ty) {
+            if !is_kernel(&n.name, &n.self_ty) {
                 continue;
             }
-            let Some(dist) = r.dist[i] else { continue };
-            let witness = r.witness(i);
-            let sink_idx = *witness.last().unwrap_or(&i);
-            let sink_node = &g.nodes[sink_idx];
-            let Some(sink) = first_live_sink(analysis, sink_idx) else {
-                continue;
-            };
-            let message = if dist == 0 {
-                format!(
-                    "kernel `{}` contains {} (line {}); write into caller-provided \
-                     scratch instead",
-                    n.qualified, sink.what, sink.line
-                )
-            } else {
-                let chain: Vec<&str> = witness
-                    .iter()
-                    .map(|&k| g.nodes[k].qualified.as_str())
-                    .collect();
-                format!(
-                    "kernel `{}` can reach {} at {}:{} via {}",
-                    n.qualified,
-                    sink.what,
-                    sink_node.file,
-                    sink.line,
-                    chain.join(" -> ")
-                )
-            };
-            out.push(Finding {
-                rule: self.id().to_string(),
-                file: n.file.clone(),
-                line: n.line,
-                col: 1,
-                message,
+            let subject = Subject {
+                label: format!("kernel `{}`", n.qualified),
+                advice: "write into caller-provided scratch instead",
                 snippet: format!("<kernel fn {}>", n.qualified),
-            });
+            };
+            out.extend(reach_finding(
+                analysis,
+                &r,
+                i,
+                SinkKind::Alloc,
+                self.id(),
+                subject,
+            ));
         }
     }
 }

@@ -11,7 +11,7 @@
 use super::{finding_at, in_crates, Rule, FITTING_CRATES};
 use crate::findings::Finding;
 use crate::lexer::{is_float_literal, TokenKind};
-use crate::scan::FileModel;
+use crate::parse::FileModel;
 use crate::SourceFile;
 
 /// See the module docs.

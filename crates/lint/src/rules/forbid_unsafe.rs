@@ -6,7 +6,7 @@
 
 use super::{crate_of, finding_at, Rule};
 use crate::findings::Finding;
-use crate::scan::FileModel;
+use crate::parse::FileModel;
 use crate::SourceFile;
 
 /// See the module docs.

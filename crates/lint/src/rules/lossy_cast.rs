@@ -9,7 +9,7 @@
 
 use super::{each_nontest_ident, finding_at, Rule};
 use crate::findings::Finding;
-use crate::scan::FileModel;
+use crate::parse::FileModel;
 use crate::SourceFile;
 
 /// See the module docs.

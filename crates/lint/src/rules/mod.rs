@@ -2,7 +2,7 @@
 //!
 //! Two kinds of rules coexist. *File rules* ([`Rule`]) are token-pattern
 //! matchers over one [`FileModel`]. *Graph rules* ([`GraphRule`]) run
-//! once over the whole [`crate::Analysis`] — the parsed items and the
+//! once over the whole [`Analysis`] — the parsed items and the
 //! workspace call graph — and catch violations that cross function and
 //! crate boundaries. Rules are scoped by crate (derived from the
 //! workspace-relative path): the fitting-stack guarantees apply to the
@@ -10,22 +10,21 @@
 //! itself, and the tool crate `bmf-bench` is exempt from panic-freedom
 //! (benchmark binaries may abort).
 
-pub mod alloc_kernels;
 pub mod alloc_reach;
 pub mod durability;
 pub mod float_eq;
 pub mod forbid_unsafe;
 pub mod lossy_cast;
 pub mod nondet;
-pub mod panic_paths;
 pub mod panic_reach;
 pub mod partial_cmp;
 pub mod screen_reach;
 
 use crate::findings::{line_snippet, Finding};
 use crate::lexer::Token;
-use crate::scan::FileModel;
-use crate::SourceFile;
+use crate::parse::{FileModel, Sink, SinkKind};
+use crate::reach::Reachability;
+use crate::{Analysis, SourceFile};
 
 /// A file-scoped lint rule: an identifier plus a check over one file.
 pub trait Rule {
@@ -52,17 +51,15 @@ pub trait GraphRule {
         self.describe()
     }
     /// Appends findings over the whole analysis to `out`.
-    fn check(&self, analysis: &crate::Analysis, out: &mut Vec<Finding>);
+    fn check(&self, analysis: &Analysis, out: &mut Vec<Finding>);
 }
 
 /// Every file rule, in catalog order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(panic_paths::NoPanicPaths),
         Box::new(float_eq::NoFloatEq),
         Box::new(partial_cmp::NoPartialCmpUnwrap),
         Box::new(lossy_cast::NoLossyCastInKernels),
-        Box::new(alloc_kernels::NoAllocInIntoKernels),
         Box::new(forbid_unsafe::ForbidUnsafeMissing),
         Box::new(nondet::NoNondeterministicSources),
     ]
@@ -71,7 +68,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
 /// Every graph rule, in catalog order.
 pub fn graph_rules() -> Vec<Box<dyn GraphRule>> {
     vec![
-        Box::new(panic_reach::PanicReachability::default()),
+        Box::new(panic_reach::PanicReachability),
         Box::new(alloc_reach::AllocReachability),
         Box::new(screen_reach::ScreenReachability),
         Box::new(durability::DurabilityOrdering),
@@ -159,5 +156,76 @@ pub(crate) fn each_nontest_ident<'m>(
             && model.code_tok(ci).is_some_and(|t| {
                 t.kind == crate::lexer::TokenKind::Ident && !model.in_test(t.start)
             })
+    })
+}
+
+/// What a reachability rule reports about one fn: how to name it and
+/// what to advise when it holds the sink itself.
+pub(crate) struct Subject {
+    /// Leads the message, e.g. "public fn `core::x::fit`".
+    pub label: String,
+    /// Follows a direct (distance-0) sink, e.g. "write into ... instead".
+    pub advice: &'static str,
+    /// The finding's fingerprinted snippet, e.g. `<pub fn core::x::fit>`.
+    pub snippet: String,
+}
+
+/// The first sink of `kind` in node `i` that no `rule` suppression on its
+/// line neutralizes.
+pub(crate) fn live_sink<'a>(
+    analysis: &'a Analysis,
+    i: usize,
+    kind: SinkKind,
+    rule: &str,
+) -> Option<&'a Sink> {
+    let node = &analysis.graph.nodes[i];
+    let model = analysis.model_for(&node.file)?;
+    node.sinks
+        .iter()
+        .find(|s| s.kind == kind && !model.suppressed(rule, s.line))
+}
+
+/// The finding for fn `i`, anchored at its `fn` line: the sink it holds
+/// itself, or the one its witness chain under `r` reaches. `None` when
+/// `i` reaches no live sink.
+pub(crate) fn reach_finding(
+    analysis: &Analysis,
+    r: &Reachability,
+    i: usize,
+    kind: SinkKind,
+    rule: &'static str,
+    subject: Subject,
+) -> Option<Finding> {
+    let g = &analysis.graph;
+    let witness = r.witness(i);
+    let sink_idx = *witness.last()?;
+    let sink = live_sink(analysis, sink_idx, kind, rule)?;
+    let message = if sink_idx == i {
+        format!(
+            "{} contains {} (line {}); {}",
+            subject.label, sink.what, sink.line, subject.advice
+        )
+    } else {
+        let chain: Vec<&str> = witness
+            .iter()
+            .map(|&k| g.nodes[k].qualified.as_str())
+            .collect();
+        format!(
+            "{} can reach {} at {}:{} via {}",
+            subject.label,
+            sink.what,
+            g.nodes[sink_idx].file,
+            sink.line,
+            chain.join(" -> ")
+        )
+    };
+    let n = &g.nodes[i];
+    Some(Finding {
+        rule: rule.to_string(),
+        file: n.file.clone(),
+        line: n.line,
+        col: 1,
+        message,
+        snippet: subject.snippet,
     })
 }

@@ -11,7 +11,7 @@
 
 use super::{each_nontest_ident, finding_at, in_crates, Rule, DETERMINISM_CRATES};
 use crate::findings::Finding;
-use crate::scan::FileModel;
+use crate::parse::FileModel;
 use crate::SourceFile;
 
 /// See the module docs.

@@ -1,51 +1,32 @@
-//! `panic-reachability`: the transitive closure of `no-panic-paths`.
+//! `panic-reachability`: the fitting stack promises "structured error or
+//! degraded `Ok`, never a panic" (README "Robustness", PR 4). Library code
+//! must not reach `panic!`, `unreachable!`, `todo!`, `unimplemented!`,
+//! `.unwrap()`, or `.expect(...)` outside test code.
 //!
-//! The direct rule catches `.unwrap()` written inside library code; this
-//! rule catches the public entry point three calls *above* it. Every
-//! `pub fn` in the fitting crates is a root; every function containing a
-//! live panic construct (not neutralized by an inline suppression) is a
-//! sink; a reverse BFS over the workspace call graph flags each root
-//! that can reach a sink, with one concrete witness chain in the
-//! message.
+//! Every function containing a live panic construct (not neutralized by an
+//! inline suppression on its line) is a sink and is flagged itself, pub or
+//! not, so private helpers and trait-impl methods are covered. Every
+//! `pub fn` in the fitting crates is additionally a root: a reverse BFS
+//! over the workspace call graph flags each root that can reach a sink,
+//! with one concrete witness chain in the message — the public entry point
+//! three calls *above* an `.unwrap()` is where callers observe the abort.
 //!
 //! Soundness stance: the call graph over-approximates (method calls fan
 //! out to every same-named method), so a finding is "possibly panics",
 //! not "will panic" — and the absence of findings is only as strong as
-//! name resolution. Indexing sinks (`x[i]` panics out of bounds) are
-//! supported but off by default in the catalog: workspace-wide they veto
-//! essentially every function, which would turn the rule into noise
-//! (DESIGN.md §16).
+//! name resolution. Panics outside any fn body (a `const` initializer)
+//! and slice indexing (`x[i]` panics out of bounds, but workspace-wide it
+//! would veto essentially every function) are out of scope (DESIGN.md
+//! §16).
 
-use super::{in_crates, GraphRule, FITTING_CRATES};
+use super::{in_crates, live_sink, reach_finding, GraphRule, Subject, FITTING_CRATES};
 use crate::findings::Finding;
-use crate::parse::{Sink, SinkKind};
+use crate::parse::SinkKind;
 use crate::reach;
 use crate::Analysis;
 
 /// See the module docs.
-#[derive(Default)]
-pub struct PanicReachability {
-    /// Also treat slice indexing as a panic sink (test/fixture use only;
-    /// the catalog instance keeps this off).
-    pub include_indexing: bool,
-}
-
-/// Suppressing either the direct or the reachability rule on a sink line
-/// neutralizes the sink for this rule.
-const SINK_RULES: &[&str] = &["no-panic-paths", "panic-reachability"];
-
-fn first_live_sink(analysis: &Analysis, node_idx: usize, include_indexing: bool) -> Option<&Sink> {
-    let node = &analysis.graph.nodes[node_idx];
-    let model = analysis.model_for(&node.file)?;
-    node.sinks.iter().find(|s| {
-        let kind_ok = match s.kind {
-            SinkKind::Panic => true,
-            SinkKind::Index => include_indexing,
-            SinkKind::Alloc => false,
-        };
-        kind_ok && !SINK_RULES.iter().any(|r| model.suppressed(r, s.line))
-    })
-}
+pub struct PanicReachability;
 
 impl GraphRule for PanicReachability {
     fn id(&self) -> &'static str {
@@ -53,20 +34,20 @@ impl GraphRule for PanicReachability {
     }
 
     fn describe(&self) -> &'static str {
-        "public fitting-stack fns from which a panic construct is transitively reachable"
+        "fitting-stack fns holding a panic construct, and pub fns that transitively reach one"
     }
 
     fn explain(&self) -> &'static str {
         "The fitting stack promises `structured error or degraded Ok, never a panic` \
-         (PR 4). `no-panic-paths` enforces that promise one file at a time; this rule \
-         enforces it across calls: every `pub fn` in the fitting crates is checked \
-         against the workspace call graph, and if any reachable callee still contains \
-         `panic!`/`unreachable!`/`todo!`/`unimplemented!`/`.unwrap()`/`.expect()` the \
-         entry point is flagged with one concrete call chain. Inline suppressions on \
-         the sink line (for `no-panic-paths` or `panic-reachability`) neutralize the \
-         sink; suppress at the `pub fn` line to accept a specific entry point. The \
-         graph over-approximates method calls, so treat findings as `possibly \
-         panics` and fix or justify rather than ignore."
+         (PR 4). Any fitting-crate function, pub or not, whose body contains \
+         `panic!`/`unreachable!`/`todo!`/`unimplemented!`/`.unwrap()`/`.expect()` \
+         outside test code is flagged at its `fn` line; every `pub fn` is further \
+         checked against the workspace call graph, and if any reachable callee \
+         still holds such a construct the entry point is flagged with one concrete \
+         call chain. An inline `panic-reachability` suppression on the sink line \
+         neutralizes the sink everywhere; suppress at the `fn` line to accept a \
+         specific function. The graph over-approximates method calls, so treat \
+         findings as `possibly panics` and fix or justify rather than ignore."
     }
 
     fn check(&self, analysis: &Analysis, out: &mut Vec<Finding>) {
@@ -77,48 +58,34 @@ impl GraphRule for PanicReachability {
             .map(|n| in_crates(&n.file, FITTING_CRATES))
             .collect();
         let is_sink: Vec<bool> = (0..g.nodes.len())
-            .map(|i| allowed[i] && first_live_sink(analysis, i, self.include_indexing).is_some())
+            .map(|i| allowed[i] && live_sink(analysis, i, SinkKind::Panic, self.id()).is_some())
             .collect();
         let r = reach::to_sinks(g, &is_sink, &allowed, reach::EdgeSet::All);
         for (i, n) in g.nodes.iter().enumerate() {
-            if !n.is_pub || !allowed[i] {
+            if !(n.is_pub || is_sink[i]) {
                 continue;
             }
-            let Some(dist) = r.dist[i] else { continue };
-            let witness = r.witness(i);
-            let sink_idx = *witness.last().unwrap_or(&i);
-            let sink_node = &g.nodes[sink_idx];
-            let Some(sink) = first_live_sink(analysis, sink_idx, self.include_indexing) else {
-                continue;
-            };
-            let message = if dist == 0 {
-                format!(
-                    "public fn `{}` contains {} (line {}); callers cannot observe a \
-                     structured error",
-                    n.qualified, sink.what, sink.line
-                )
+            let subject = if n.is_pub {
+                Subject {
+                    label: format!("public fn `{}`", n.qualified),
+                    advice: "callers cannot observe a structured error",
+                    snippet: format!("<pub fn {}>", n.qualified),
+                }
             } else {
-                let chain: Vec<&str> = witness
-                    .iter()
-                    .map(|&k| g.nodes[k].qualified.as_str())
-                    .collect();
-                format!(
-                    "public fn `{}` can reach {} at {}:{} via {}",
-                    n.qualified,
-                    sink.what,
-                    sink_node.file,
-                    sink.line,
-                    chain.join(" -> ")
-                )
+                Subject {
+                    label: format!("fn `{}`", n.qualified),
+                    advice: "return a structured error instead",
+                    snippet: format!("<fn {}>", n.qualified),
+                }
             };
-            out.push(Finding {
-                rule: self.id().to_string(),
-                file: n.file.clone(),
-                line: n.line,
-                col: 1,
-                message,
-                snippet: format!("<pub fn {}>", n.qualified),
-            });
+            out.extend(reach_finding(
+                analysis,
+                &r,
+                i,
+                SinkKind::Panic,
+                self.id(),
+                subject,
+            ));
         }
     }
 }

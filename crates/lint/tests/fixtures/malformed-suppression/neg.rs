@@ -2,6 +2,6 @@
 // mandatory reason — silences the finding and raises nothing itself.
 
 pub fn checked(x: Option<u32>) -> u32 {
-    // bmf-lint: allow(no-panic-paths) -- fixture demonstrates the syntax
+    // bmf-lint: allow(panic-reachability) -- fixture demonstrates the syntax
     x.unwrap()
 }

@@ -16,12 +16,6 @@ struct Case {
 
 const CASES: &[Case] = &[
     Case {
-        rule: "no-panic-paths",
-        label: "crates/core/src/fixture.rs",
-        pos: include_str!("fixtures/no-panic-paths/pos.rs"),
-        neg: include_str!("fixtures/no-panic-paths/neg.rs"),
-    },
-    Case {
         rule: "no-float-eq",
         label: "crates/core/src/fixture.rs",
         pos: include_str!("fixtures/no-float-eq/pos.rs"),
@@ -38,12 +32,6 @@ const CASES: &[Case] = &[
         label: "crates/linalg/src/fixture.rs",
         pos: include_str!("fixtures/no-lossy-cast-in-kernels/pos.rs"),
         neg: include_str!("fixtures/no-lossy-cast-in-kernels/neg.rs"),
-    },
-    Case {
-        rule: "no-alloc-in-into-kernels",
-        label: "crates/core/src/fixture.rs",
-        pos: include_str!("fixtures/no-alloc-in-into-kernels/pos.rs"),
-        neg: include_str!("fixtures/no-alloc-in-into-kernels/neg.rs"),
     },
     Case {
         rule: "forbid-unsafe-missing",
@@ -146,49 +134,77 @@ fn negative_fixtures_are_completely_clean() {
 #[test]
 fn rule_scoping_follows_crate_paths() {
     // The same offending source is invisible outside the crates a rule
-    // guards: bmf-bench may panic, and kernel-cast policing is
-    // linalg-only.
-    let panic_src = case("no-panic-paths").pos;
-    assert!(lint_source("crates/bench/src/fixture.rs", panic_src).is_empty());
+    // guards: kernel-cast policing is linalg-only, bmf-bench may panic
+    // (directly or transitively), and a broken durability corridor
+    // outside bmf_persist::store is out of jurisdiction.
     let cast_src = case("no-lossy-cast-in-kernels").pos;
     assert!(lint_source("crates/core/src/fixture.rs", cast_src).is_empty());
-    // Graph rules scope the same way: a transitive panic in bench code
-    // and a broken durability corridor outside bmf_persist::store are
-    // both out of jurisdiction.
     let reach_src = case("panic-reachability").pos;
     assert!(lint_source("crates/bench/src/fixture.rs", reach_src).is_empty());
     let durability_src = case("durability-ordering").pos;
     assert!(lint_source("crates/persist/src/vfs.rs", durability_src).is_empty());
 }
 
+/// `(line, snippet)` of every finding of `rule` on the rule's pos fixture.
+fn flagged(rule: &str) -> Vec<(u32, String)> {
+    let c = case(rule);
+    lint_source(c.label, c.pos)
+        .into_iter()
+        .filter(|f| f.rule == rule)
+        .map(|f| (f.line, f.snippet))
+        .collect()
+}
+
 #[test]
 fn panic_reachability_sees_what_the_token_rule_misses() {
     // The acceptance fixture for the flow-aware upgrade: the entry point
-    // `fit` at line 6 is token-clean, so `no-panic-paths` anchors only at
-    // the helper's unwrap, while `panic-reachability` anchors at the
-    // `pub fn` itself and names the witness chain.
+    // `fit` at line 6 is panic-free in its own body, yet it is flagged
+    // with the witness chain; the helper holding the unwrap is flagged
+    // directly, and the pass-through `prepare` not at all.
     let c = case("panic-reachability");
     let findings = lint_source(c.label, c.pos);
-    let entry_line = 6;
-    assert!(
-        !findings
-            .iter()
-            .any(|f| f.rule == "no-panic-paths" && f.line == entry_line),
-        "token rule unexpectedly fired on the panic-free entry point"
-    );
-    let reach: Vec<_> = findings
+    let chain: Vec<_> = findings
         .iter()
-        .filter(|f| f.rule == "panic-reachability")
+        .filter(|f| f.rule == "panic-reachability" && f.line <= 16)
         .collect();
-    assert_eq!(reach.len(), 1, "{findings:#?}");
-    assert_eq!(reach[0].line, entry_line);
-    assert_eq!(reach[0].snippet, "<pub fn core::fixture::fit>");
+    assert_eq!(chain.len(), 2, "{findings:#?}");
+    assert_eq!(chain[0].line, 6);
+    assert_eq!(chain[0].snippet, "<pub fn core::fixture::fit>");
     assert!(
-        reach[0]
+        chain[0]
             .message
             .contains("core::fixture::fit -> core::fixture::prepare -> core::fixture::head"),
         "witness chain missing: {}",
-        reach[0].message
+        chain[0].message
+    );
+    assert_eq!(chain[1].line, 14);
+    assert_eq!(chain[1].snippet, "<fn core::fixture::head>");
+    assert!(chain[1].message.contains("contains `.unwrap()` (line 15)"));
+}
+
+#[test]
+fn direct_sinks_are_flagged_at_their_own_fn() {
+    // Every panic or kernel allocation is reported once, at the fn that
+    // holds it — public fns, private helpers, and trait-impl methods
+    // alike — and each kernel reaching a helper's allocation by its chain.
+    let s = |x: &str| x.to_string();
+    assert_eq!(
+        flagged("panic-reachability"),
+        vec![
+            (6, s("<pub fn core::fixture::fit>")),
+            (14, s("<fn core::fixture::head>")),
+            (20, s("<pub fn core::fixture::first>")),
+            (24, s("<pub fn core::fixture::checked>")),
+            (39, s("<fn core::fixture::Label::fmt>")),
+        ]
+    );
+    assert_eq!(
+        flagged("alloc-reachability"),
+        vec![
+            (5, s("<kernel fn core::fixture::scale_into>")),
+            (19, s("<kernel fn core::fixture::accumulate_into>")),
+            (26, s("<kernel fn core::fixture::refill_into>")),
+        ]
     );
 }
 

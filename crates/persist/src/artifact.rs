@@ -491,7 +491,7 @@ mod tests {
     fn fingerprint_is_stable_and_content_addressed() {
         let snap = rich_snapshot();
         let a = encode_snapshot(&snap).unwrap();
-        let b = encode_snapshot(&snap.clone()).unwrap();
+        let b = encode_snapshot(&snap).unwrap();
         assert_eq!(a, b);
         assert_eq!(
             artifact_fingerprint(&a).unwrap(),
@@ -584,7 +584,7 @@ mod tests {
                 "prefix of {cut} bytes must be corrupt"
             );
         }
-        let mut extended = bytes.clone();
+        let mut extended = bytes;
         extended.push(0);
         assert!(matches!(
             decode_snapshot(&extended),

@@ -62,15 +62,16 @@ fn disk_digest(disk: &MemVfs) -> Vec<(String, Vec<u8>)> {
         .collect()
 }
 
-/// Runs the script crashing at op `c`; returns the acknowledged puts,
-/// whether compaction acked, and the post-recovery disk digest.
-fn crash_scenario(
-    c: u64,
-) -> (
+/// The acknowledged puts, whether compaction acked, and the
+/// post-recovery disk digest.
+type CrashOutcome = (
     Vec<(ModelSnapshot, ArtifactId)>,
     bool,
     Vec<(String, Vec<u8>)>,
-) {
+);
+
+/// Runs the script crashing at op `c`.
+fn crash_scenario(c: u64) -> CrashOutcome {
     let disk = Arc::new(MemVfs::new());
     let faulty = Arc::new(FaultVfs::new(
         Arc::clone(&disk),

@@ -85,7 +85,7 @@ fn env_u64(key: &str) -> Option<u64> {
     };
     match parsed {
         Ok(v) => Some(v),
-        // bmf-lint: allow(no-panic-paths) -- the property harness aborts on a malformed env override by design
+        // bmf-lint: allow(panic-reachability) -- the property harness aborts on a malformed env override by design
         Err(_) => panic!("{key} must be a u64 (decimal or 0x-hex), got `{raw}`"),
     }
 }

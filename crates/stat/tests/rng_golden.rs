@@ -79,10 +79,10 @@ fn derive_seed_is_pinned() {
 fn next_f64_stream_is_pinned() {
     let mut rng = seeded(5);
     let expected = [
-        2.92022871540467466e-1,
-        6.11439414081025312e-1,
-        9.79632566356050116e-2,
-        5.86112022429220447e-2,
+        2.920_228_715_404_674_7e-1,
+        6.114_394_140_810_253e-1,
+        9.796_325_663_560_501e-2,
+        5.861_120_224_292_204_5e-2,
     ];
     for (i, want) in expected.into_iter().enumerate() {
         let got = rng.next_f64();
@@ -100,12 +100,12 @@ fn normal_sample_stream_is_pinned() {
     let mut rng = seeded(2013);
     let mut s = StandardNormal::new();
     let expected = [
-        -2.58433097327489092e-1,
-        -4.32955554954403632e-1,
-        1.13106604465795280e0,
-        6.83994515148686810e-1,
-        -1.69688672428069287e0,
-        -8.99859106151151056e-1,
+        -2.584_330_973_274_891e-1,
+        -4.329_555_549_544_036_3e-1,
+        1.131_066_044_657_952_8,
+        6.839_945_151_486_868e-1,
+        -1.696_886_724_280_692_9,
+        -8.998_591_061_511_511e-1,
     ];
     for (i, want) in expected.into_iter().enumerate() {
         let got = s.sample(&mut rng);

@@ -52,11 +52,14 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
 done
 
 # --- 3. Invariant lint: bmf-lint over the whole workspace ------------------
-# Replaces the old awk panic-scan with the token-level in-tree linter
-# (crates/lint). It enforces panic-freedom of the fitting stack plus the
-# determinism, float-comparison, cast, allocation, and screening rules
-# described in DESIGN.md §11. Pre-existing justified findings live in
-# lint-baseline.toml; only NEW findings (or stale baseline entries) fail.
+# Replaces the old awk panic-scan with the in-tree linter (crates/lint):
+# token-level file rules plus call-graph rules. It enforces panic-freedom
+# of the fitting stack (panic-reachability), zero-allocation kernels
+# (alloc-reachability), and the determinism, float-comparison, cast,
+# screening, and durability rules described in DESIGN.md §11. Pre-existing
+# justified findings live in lint-baseline.toml; only NEW findings (or
+# stale baseline entries) fail. CI's build-test job relies on this run for
+# the `--deny-stale` gate.
 if ! cargo run -q -p bmf-lint --offline --locked -- --root . --deny-stale; then
     echo "FAIL: bmf-lint found new (or stale-baselined) findings (above)" >&2
     fail=1
